@@ -476,17 +476,22 @@ func RunFactory(ctx context.Context, cfg Config, factory Factory) (Result, error
 func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases []collect.Lease, r Realization, eng *collect.Collector, ro *runObs) (err error) {
 	local := stat.New(cfg.Nrow, cfg.Ncol)
 	out := make([]float64, cfg.Nrow*cfg.Ncol)
-	lastPass := time.Now()
+	windowStart := time.Now()
+	pass := passCheck{every: 1, last: windowStart}
 
 	push := func() error {
 		if local.N() == 0 {
 			return nil
 		}
+		// The window's wall time is credited once, here: MeanSimTime is
+		// window time ÷ count, and no clock is read per realization.
+		snap := local.Snapshot()
+		snap.SimTimeNS = int64(time.Since(windowStart))
 		var t0 time.Time
 		if ro != nil {
 			t0 = time.Now()
 		}
-		perr := eng.Push(m, local.Snapshot())
+		perr := eng.Push(m, snap)
 		if ro != nil {
 			ro.pushSec.Observe(time.Since(t0).Seconds())
 		}
@@ -494,7 +499,7 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 			return perr
 		}
 		local.Reset()
-		lastPass = time.Now()
+		windowStart = time.Now()
 		return nil
 	}
 	// Flush the final subtotal; a flush failure surfaces unless the
@@ -510,19 +515,24 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		for i := range out {
 			out[i] = 0
 		}
-		t0 := time.Now()
+		var t0 time.Time
+		if ro != nil {
+			t0 = time.Now()
+		}
 		if err := callRealization(r, stream, out); err != nil {
 			return fmt.Errorf("realization %d: %w", k, err)
 		}
-		elapsed := time.Since(t0)
-		if err := local.AddTimed(out, elapsed); err != nil {
-			return err
-		}
 		if ro != nil {
 			ro.realizations.Inc()
-			ro.realizeSec.Observe(elapsed.Seconds())
+			ro.realizeSec.Observe(time.Since(t0).Seconds())
 		}
-		if cfg.StrictExchange || time.Since(lastPass) >= cfg.PassPeriod {
+		if err := local.Add(out); err != nil {
+			return err
+		}
+		if cfg.StrictExchange {
+			return push()
+		}
+		if now, ok := pass.tick(); ok && now.Sub(windowStart) >= cfg.PassPeriod {
 			return push()
 		}
 		return nil
@@ -569,6 +579,41 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		}
 	}
 	return nil
+}
+
+// Cadence of a worker's PassPeriod check.
+const (
+	maxPassCheckEvery = 64
+	passCheckGap      = 20 * time.Microsecond
+)
+
+// passCheck spaces out the clock reads of a worker's PassPeriod check.
+// It reads the clock once every `every` realizations: `every` doubles,
+// up to maxPassCheckEvery, while consecutive reads land less than
+// passCheckGap apart, and drops back to 1 when they do not. A cheap
+// realization thus pays one clock read per 64, and while realization
+// cost is steady a due pass waits at most about 2·passCheckGap, however
+// long a realization takes.
+type passCheck struct {
+	every, count int
+	last         time.Time
+}
+
+// tick counts one realization. On the cadence it reads the clock and
+// returns the time and true.
+func (p *passCheck) tick() (time.Time, bool) {
+	if p.count++; p.count < p.every {
+		return time.Time{}, false
+	}
+	p.count = 0
+	now := time.Now()
+	if now.Sub(p.last) < passCheckGap {
+		p.every = min(2*p.every, maxPassCheckEvery)
+	} else {
+		p.every = 1
+	}
+	p.last = now
+	return now, true
 }
 
 // Manaver recomputes the averaged results from the run-base checkpoint

@@ -707,3 +707,49 @@ func TestRunStopRuleEndsUnboundedRun(t *testing.T) {
 		t.Fatalf("run stopped at N = %d, before the rule's threshold", res.Report.N)
 	}
 }
+
+// TestMeanSimTimeIsWindowTime: with windows timed instead of single
+// realizations, the mean time per realization is positive and no more
+// than the workers' combined wall time spread over the sample volume.
+func TestMeanSimTimeIsWindowTime(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		cfg := fastCfg(t.TempDir())
+		cfg.StrictExchange = strict
+		res, err := Run(context.Background(), cfg, uniformMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := res.Elapsed * time.Duration(cfg.Workers) / time.Duration(res.Report.N)
+		if got := res.Report.MeanSimTime; got <= 0 || got > bound {
+			t.Errorf("strict=%v: MeanSimTime %v, want in (0, %v] (Elapsed %v × %d workers / N %d)",
+				strict, got, bound, res.Elapsed, cfg.Workers, res.Report.N)
+		}
+	}
+}
+
+// TestPassCheckCadence: cheap realizations stretch the clock-read
+// cadence to its cap; slow ones keep a read after every realization.
+func TestPassCheckCadence(t *testing.T) {
+	fast := passCheck{every: 1, last: time.Now()}
+	for i := 0; i < 100_000 && fast.every < maxPassCheckEvery; i++ {
+		fast.tick()
+	}
+	if fast.every != maxPassCheckEvery {
+		t.Errorf("cheap realizations: cadence %d, want %d", fast.every, maxPassCheckEvery)
+	}
+
+	slow := passCheck{every: maxPassCheckEvery, last: time.Now()}
+	for i := 0; i < maxPassCheckEvery+4; i++ {
+		time.Sleep(2 * passCheckGap)
+		slow.tick()
+	}
+	if slow.every != 1 {
+		t.Errorf("slow realizations: cadence %d, want 1", slow.every)
+	}
+	for i := 0; i < 3; i++ {
+		time.Sleep(2 * passCheckGap)
+		if _, ok := slow.tick(); !ok {
+			t.Fatalf("slow realization %d skipped its clock read", i)
+		}
+	}
+}

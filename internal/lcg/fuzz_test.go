@@ -1,6 +1,10 @@
 package lcg
 
-import "testing"
+import (
+	"testing"
+
+	"parmonc/internal/u128"
+)
 
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(New().Marshal())
@@ -23,6 +27,28 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !back.State().Eq(g.State()) || !back.Multiplier().Eq(g.Multiplier()) {
 			t.Fatalf("round trip changed generator for input %q", s)
+		}
+	})
+}
+
+// FuzzLeapMultiplierMatchesExp pins the table-driven leap to plain
+// square-and-multiply: for any 128-bit n, LeapMultiplier and SkipAhead
+// agree with u128.Exp(A, n).
+func FuzzLeapMultiplierMatchesExp(f *testing.F) {
+	f.Add(uint64(0), uint64(0))
+	f.Add(uint64(0), uint64(1))
+	f.Add(uint64(1<<51|3<<34), uint64(1<<43))
+	f.Add(^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, hi, lo uint64) {
+		n := u128.New(hi, lo)
+		want := u128.Exp(DefaultMultiplier, n)
+		if got := LeapMultiplier(n); !got.Eq(want) {
+			t.Fatalf("LeapMultiplier(%s) = %s, want %s", n, got, want)
+		}
+		g := New()
+		g.SkipAhead(n)
+		if !g.State().Eq(want) {
+			t.Fatalf("SkipAhead(%s) state %s, want %s", n, g.State(), want)
 		}
 	})
 }

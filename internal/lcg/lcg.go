@@ -15,12 +15,14 @@
 //	Â(n) = A^n (mod 2^128),
 //
 // which is what makes the PARMONC substream hierarchy (experiments ⊃
-// processors ⊃ realizations) cheap: positioning a stream anywhere in the
-// period costs at most 128 squarings.
+// processors ⊃ realizations) cheap: with the powers A^(2^k) precomputed,
+// positioning a stream anywhere in the period costs one multiply per set
+// bit of its offset.
 package lcg
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"parmonc/internal/u128"
@@ -46,6 +48,16 @@ const MultiplierExponent = 101
 
 // DefaultMultiplier is A = 5^101 mod 2^128.
 var DefaultMultiplier = u128.ExpUint(u128.From64(5), MultiplierExponent)
+
+// pow2Leaps[k] is Â(2^k) = A^(2^k) mod 2^128 for the default multiplier:
+// a leap of any length n is the product of the entries for n's set bits.
+var pow2Leaps = func() (t [R]u128.Uint128) {
+	t[0] = DefaultMultiplier
+	for k := 1; k < R; k++ {
+		t[k] = t[k-1].Mul(t[k-1])
+	}
+	return t
+}()
 
 // DefaultSeed is the canonical starting state u_0 = 1.
 var DefaultSeed = u128.One
@@ -107,9 +119,14 @@ func (g *Gen) Float64() float64 {
 	return g.Next().Float64()
 }
 
-// SkipAhead advances the generator by n steps in O(log n) time using the
-// leap multiplier Â(n) = A^n mod 2^128.
+// SkipAhead advances the generator by n steps using the leap multiplier
+// Â(n) = A^n mod 2^128: popcount(n) table multiplies for the default
+// multiplier, O(log n) squarings for a custom one.
 func (g *Gen) SkipAhead(n u128.Uint128) {
+	if g.mult == DefaultMultiplier {
+		g.state = g.state.Mul(LeapMultiplier(n))
+		return
+	}
 	g.state = g.state.Mul(u128.Exp(g.mult, n))
 }
 
@@ -118,15 +135,32 @@ func (g *Gen) SkipAheadPow2(k uint) {
 	g.state = g.state.Mul(u128.ExpPow2(g.mult, k))
 }
 
-// LeapMultiplier returns Â(n) = A^n mod 2^128 for the default multiplier.
+// LeapMultiplier returns Â(n) = A^n mod 2^128 for the default multiplier,
+// as the product of the precomputed Â(2^k) for the set bits of n.
 func LeapMultiplier(n u128.Uint128) u128.Uint128 {
-	return u128.Exp(DefaultMultiplier, n)
+	// Consecutive factors alternate between two product chains, so one
+	// multiply need not wait for the previous one to finish.
+	x, y := u128.One, u128.One
+	for half, w := range [2]uint64{n.Lo, n.Hi} {
+		for w != 0 {
+			x = x.Mul(pow2Leaps[64*half+bits.TrailingZeros64(w)])
+			if w &= w - 1; w == 0 {
+				break
+			}
+			y = y.Mul(pow2Leaps[64*half+bits.TrailingZeros64(w)])
+			w &= w - 1
+		}
+	}
+	return x.Mul(y)
 }
 
 // LeapMultiplierPow2 returns Â(2^k) = A^(2^k) mod 2^128 for the default
 // multiplier. This is the quantity the paper's genparam tool computes for
 // user-selected leap exponents.
 func LeapMultiplierPow2(k uint) u128.Uint128 {
+	if k < R {
+		return pow2Leaps[k]
+	}
 	return u128.ExpPow2(DefaultMultiplier, k)
 }
 

@@ -139,16 +139,27 @@ func (p Params) offset(c Coord) u128.Uint128 {
 // hierarchy, so that distinct coordinates yield non-overlapping
 // subsequences.
 func (p Params) CheckCoord(c Coord) error {
-	if max := p.MaxExperiments(); u128.From64(c.Experiment).Cmp(max) >= 0 {
-		return fmt.Errorf("rng: experiment %d exceeds capacity %s", c.Experiment, max)
+	if !below(c.Experiment, lcg.UsableLog2, p.ExperimentLeapLog2) {
+		return fmt.Errorf("rng: experiment %d exceeds capacity %s", c.Experiment, p.MaxExperiments())
 	}
-	if max := p.MaxProcessors(); u128.From64(c.Processor).Cmp(max) >= 0 {
-		return fmt.Errorf("rng: processor %d exceeds capacity %s", c.Processor, max)
+	if !below(c.Processor, p.ExperimentLeapLog2, p.ProcessorLeapLog2) {
+		return fmt.Errorf("rng: processor %d exceeds capacity %s", c.Processor, p.MaxProcessors())
 	}
-	if max := p.MaxRealizations(); u128.From64(c.Realization).Cmp(max) >= 0 {
-		return fmt.Errorf("rng: realization %d exceeds capacity %s", c.Realization, max)
+	return p.checkRealization(c.Realization)
+}
+
+// checkRealization is CheckCoord's realization-index bound.
+func (p Params) checkRealization(r uint64) error {
+	if !below(r, p.ProcessorLeapLog2, p.RealizationLeapLog2) {
+		return fmt.Errorf("rng: realization %d exceeds capacity %s", r, p.MaxRealizations())
 	}
 	return nil
+}
+
+// below reports whether x < 2^(hi-lo), the capacity of one hierarchy
+// level; a level with hi < lo has no capacity.
+func below(x uint64, hi, lo uint) bool {
+	return hi >= lo && (hi-lo >= 64 || x>>(hi-lo) == 0)
 }
 
 // Stream is a positioned view into the general sequence of base random
@@ -159,7 +170,9 @@ func (p Params) CheckCoord(c Coord) error {
 // A Stream is not safe for concurrent use. The PARMONC design never
 // shares one: each realization gets its own.
 type Stream struct {
-	gen    *lcg.Gen
+	gen    lcg.Gen
+	start  u128.Uint128 // generator state at the current realization's start
+	leap   u128.Uint128 // Â(n_r): one realization subsequence ahead
 	params Params
 	coord  Coord
 	drawn  uint64 // base random numbers drawn so far
@@ -175,9 +188,22 @@ func NewStream(p Params, c Coord) (*Stream, error) {
 	if err := p.CheckCoord(c); err != nil {
 		return nil, err
 	}
-	g := lcg.New()
-	g.SkipAhead(p.offset(c))
-	return &Stream{gen: g, params: p, coord: c}, nil
+	s := &Stream{
+		gen:    *lcg.New(),
+		leap:   lcg.LeapMultiplierPow2(p.RealizationLeapLog2),
+		params: p,
+		coord:  c,
+	}
+	s.begin(lcg.LeapMultiplier(p.offset(c)))
+	return s, nil
+}
+
+// begin starts a realization whose first state is start = A^offset
+// (from u₀ = 1), which is odd, so SetState cannot fail.
+func (s *Stream) begin(start u128.Uint128) {
+	s.start = start
+	_ = s.gen.SetState(start)
+	s.drawn = 0
 }
 
 // Coord returns the stream's position in the hierarchy.
@@ -208,21 +234,15 @@ func (s *Stream) Uint64() uint64 {
 // realization subsequence on the same processor. The PARMONC driver calls
 // this before each realization so that every realization consumes an
 // independent subsequence regardless of how many numbers the previous one
-// drew.
+// drew. The next start is one leap n_r past the current start, so the
+// move is a single multiply by the cached Â(n_r), exact mod 2^128.
 func (s *Stream) NextRealization() error {
-	c := s.coord
-	c.Realization++
-	if err := s.params.CheckCoord(c); err != nil {
+	r := s.coord.Realization + 1
+	if err := s.params.checkRealization(r); err != nil {
 		return err
 	}
-	// Jump relative to the current realization start, not the current
-	// position: re-derive the state from the origin offset. Deriving
-	// fresh is O(log offset) and keeps the arithmetic exact.
-	g := lcg.New()
-	g.SkipAhead(s.params.offset(c))
-	s.gen = g
-	s.coord = c
-	s.drawn = 0
+	s.coord.Realization = r
+	s.begin(s.start.Mul(s.leap))
 	return nil
 }
 
@@ -234,11 +254,8 @@ func (s *Stream) SeekRealization(r uint64) error {
 	if err := s.params.CheckCoord(c); err != nil {
 		return err
 	}
-	g := lcg.New()
-	g.SkipAhead(s.params.offset(c))
-	s.gen = g
 	s.coord = c
-	s.drawn = 0
+	s.begin(lcg.LeapMultiplier(s.params.offset(c)))
 	return nil
 }
 
@@ -254,10 +271,10 @@ type Source interface {
 
 var _ Source = (*Stream)(nil)
 
-// Discard advances the stream by n base random numbers in O(log n)
-// time using the leap multiplier — useful for realization routines
-// that must align with a fixed draw layout without generating the
-// intermediate numbers. The discarded draws count against Drawn.
+// Discard advances the stream by n base random numbers with one leap
+// multiplier (popcount(n) table multiplies) — useful for realization
+// routines that must align with a fixed draw layout without generating
+// the intermediate numbers. The discarded draws count against Drawn.
 func (s *Stream) Discard(n uint64) {
 	s.gen.SkipAhead(u128.From64(n))
 	s.drawn += n

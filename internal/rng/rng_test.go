@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math/rand"
 	"testing"
 
 	"parmonc/internal/lcg"
@@ -337,5 +338,62 @@ func TestDiscardZeroNoOp(t *testing.T) {
 	s.Discard(0)
 	if !s.State().Eq(before) {
 		t.Fatal("Discard(0) moved the stream")
+	}
+}
+
+// TestNextRealizationMatchesNewStream pins the cached-leap advance to
+// the offset derivation: k NextRealization calls from any start land on
+// exactly the state NewStream derives for Realization+k, whatever the
+// draws in between, for the default and a genparam-style custom
+// hierarchy.
+func TestNextRealizationMatchesNewStream(t *testing.T) {
+	custom, err := NewParams(100, 80, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(20261017))
+	for _, p := range []Params{DefaultParams(), custom} {
+		for trial := 0; trial < 50; trial++ {
+			c := Coord{
+				Experiment:  rnd.Uint64() % p.MaxExperiments().Lo,
+				Processor:   rnd.Uint64() % 4096,
+				Realization: rnd.Uint64() % (1 << 30),
+			}
+			s := mustStream(t, p, c)
+			k := uint64(1 + rnd.Intn(200))
+			for i := uint64(0); i < k; i++ {
+				for d := rnd.Intn(5); d > 0; d-- {
+					s.Float64()
+				}
+				if err := s.NextRealization(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Realization += k
+			if want := mustStream(t, p, c); !s.State().Eq(want.State()) || s.Coord() != c {
+				t.Fatalf("params %+v: %d advances from %+v reach state %v coord %+v, NewStream gives %v",
+					p, k, c, s.State(), s.Coord(), want.State())
+			}
+		}
+	}
+}
+
+// TestNextRealizationCapacityErrorAtLastRealization: the advance past a
+// processor's last realization fails with CheckCoord's error and leaves
+// the stream where it was.
+func TestNextRealizationCapacityErrorAtLastRealization(t *testing.T) {
+	for _, p := range []Params{DefaultParams(), {ExperimentLeapLog2: 100, ProcessorLeapLog2: 80, RealizationLeapLog2: 40}} {
+		last := Coord{Experiment: 3, Processor: 5, Realization: p.MaxRealizations().Lo - 1}
+		s := mustStream(t, p, last)
+		s.Float64()
+		before := s.State()
+		err := s.NextRealization()
+		want := p.CheckCoord(Coord{Experiment: 3, Processor: 5, Realization: last.Realization + 1})
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("params %+v: NextRealization error %v, want %v", p, err, want)
+		}
+		if s.Coord() != last || !s.State().Eq(before) {
+			t.Fatalf("params %+v: failed advance moved the stream to %+v", p, s.Coord())
+		}
 	}
 }

@@ -176,14 +176,15 @@ func (m *Manager) statusLocked(r *run) RunStatus {
 		t := r.finished
 		st.FinishedAt = &t
 	}
-	switch {
-	case r.hasReport:
-		st.N = r.rep.N
-		st.MaxRelErr = JSONFloat(r.rep.MaxRelErr)
-	case r.eng != nil:
+	if r.eng != nil {
 		p := r.eng.Progress()
 		st.N = p.N
 		st.MaxRelErr = JSONFloat(p.MaxRelErr)
+	} else {
+		// A terminal run's final (or, when finalizing failed, last)
+		// moments; zero for a run not yet admitted.
+		st.N = r.rep.N
+		st.MaxRelErr = JSONFloat(r.rep.MaxRelErr)
 	}
 	return st
 }

@@ -727,6 +727,14 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 	local := stat.New(task.Nrow, task.Ncol)
 	out := make([]float64, task.Nrow*task.Ncol)
 	var done int64
+	// Each window's wall time is credited once, when it is pushed or
+	// batched: MeanSimTime is window time ÷ count.
+	windowStart := time.Now()
+	windowSnap := func() stat.Snapshot {
+		snap := local.Snapshot()
+		snap.SimTimeNS = int64(time.Since(windowStart))
+		return snap
+	}
 	for k := int64(0); k < l.Count; k++ {
 		if ctx.Err() != nil {
 			return // abandon mid-window; nothing partial leaves this worker
@@ -740,7 +748,6 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 		for i := range out {
 			out[i] = 0
 		}
-		t0 := time.Now()
 		if err := callRealization(realize, stream, out); err != nil {
 			_ = api.Fail(ctx, FailArgs{
 				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID,
@@ -748,7 +755,7 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 			})
 			return
 		}
-		if err := local.AddTimed(out, time.Since(t0)); err != nil {
+		if err := local.Add(out); err != nil {
 			_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
 			return
 		}
@@ -762,7 +769,7 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 				// fenced, run finished, entry rejected — abandons the task
 				// exactly as an unbatched reply would.
 				if err := batcher.add(ctx, worker, epoch, PushEntry{
-					RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: local.Snapshot(),
+					RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
 				}); err != nil {
 					return
 				}
@@ -770,10 +777,11 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 					return
 				}
 				local.Reset()
+				windowStart = time.Now()
 				continue
 			}
 			pres, err := api.Push(ctx, TaskPushArgs{
-				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: local.Snapshot(),
+				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
 			})
 			if err != nil {
 				if ctx.Err() != nil {
@@ -792,6 +800,7 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 				return
 			}
 			local.Reset()
+			windowStart = time.Now()
 		}
 	}
 }

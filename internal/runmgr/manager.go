@@ -267,12 +267,12 @@ type run struct {
 	errMsg string
 
 	dir     string
-	eng     *collect.Collector
-	journal *obs.Journal
+	eng     *collect.Collector // nil once terminal
+	journal *obs.Journal       // nil once terminal
 
 	pending     []collect.Lease          // not yet granted (front = next)
 	outstanding map[uint64]*grant        // granted, incomplete, by lease ID
-	granted     map[uint64]collect.Lease // every grant ever made, by ID
+	granted     map[uint64]collect.Lease // every grant ever made, by ID; nil once terminal
 	nextLease   uint64
 	leaseTotal  int
 	nGranted    int64
@@ -283,6 +283,8 @@ type run struct {
 
 	submitted, started, finished time.Time
 
+	// rep is the final report when hasReport; a run whose finalize
+	// failed keeps its last moments here for its status.
 	rep       stat.Report
 	hasReport bool
 
@@ -642,10 +644,14 @@ func (m *Manager) registerRunGauges(id string) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		r := m.runs[id]
-		if r == nil || r.eng == nil {
+		switch {
+		case r == nil:
 			return 0
+		case r.eng != nil:
+			return float64(r.eng.N())
+		default:
+			return float64(r.rep.N)
 		}
-		return float64(r.eng.N())
 	}, l)
 	reg.GaugeFunc("parmonc_run_leases_outstanding", "Granted, incomplete leases, per run.", func() float64 {
 		m.mu.Lock()
@@ -1178,7 +1184,11 @@ func (m *Manager) finishRunLocked(r *run, state State, errMsg string) {
 	for id := range r.outstanding {
 		g := r.outstanding[id]
 		delete(r.outstanding, id)
-		r.eng.ReclaimLeases(int(g.lease.Proc))
+		// A grant whose final window merged while its push reply was
+		// still on its way back has no remainder: it completed.
+		if len(r.eng.ReclaimLeases(int(g.lease.Proc))) == 0 {
+			r.nCompleted++
+		}
 	}
 	r.pending = nil
 	if r.eng != nil {
@@ -1209,6 +1219,12 @@ func (m *Manager) finishRunLocked(r *run, state State, errMsg string) {
 	if r.journal != nil {
 		r.journal.Close()
 	}
+	// Release the execution state so a service's memory does not grow
+	// with every run it has hosted; status and report read r.rep now.
+	if r.eng != nil && !r.hasReport {
+		r.rep = r.eng.Report()
+	}
+	r.journal, r.eng, r.granted = nil, nil, nil
 	switch state {
 	case StateDone:
 		if m.mDone != nil {
@@ -1478,17 +1494,16 @@ func (m *Manager) Shutdown() error {
 // saves, plus whatever the WAL had already been told).
 func (m *Manager) kill() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
 		return
 	}
-	m.closed = true
-	// Even a "crash" must unpark long-polls: the goroutines parked in
-	// pullTask belong to this process and would otherwise outlive the
-	// simulated kill until their deadlines.
-	m.wakePullersLocked()
-	m.mu.Unlock()
 
+	// Connections drop first: a crashed process answers nothing, so the
+	// Stop a closed manager gives the pulls woken below must not reach a
+	// fleet worker — it would make the worker exit as if the service
+	// had shut down cleanly.
 	m.lnMu.Lock()
 	m.lnClosed = true
 	for _, ln := range m.lns {
@@ -1500,6 +1515,14 @@ func (m *Manager) kill() {
 	}
 	m.conns = map[interface{ Close() error }]struct{}{}
 	m.lnMu.Unlock()
+
+	m.mu.Lock()
+	m.closed = true
+	// Even a "crash" must unpark long-polls: the goroutines parked in
+	// pullTask belong to this process and would otherwise outlive the
+	// simulated kill until their deadlines.
+	m.wakePullersLocked()
+	m.mu.Unlock()
 	if m.reaperStop != nil {
 		close(m.reaperStop)
 		<-m.reaperDone

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,20 +128,23 @@ func TestKillRestartChaos(t *testing.T) {
 				ids = append(ids, st.ID)
 			}
 
-			// Kill-restart loop: let the fleet make some progress, then
-			// yank the coordinator and boot a successor on the same root
-			// and the same endpoint.
-			for kill := int64(1); kill <= 5; kill++ {
-				time.Sleep(time.Duration(50+rnd.Intn(250)) * time.Millisecond)
-				done := true
-				for _, id := range ids {
-					st, err := m.Run(id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					done = done && st.State.Terminal()
-				}
-				if done {
+			// Kill-restart loop: let the fleet carry the runs' merged N
+			// past a seeded fraction of their total MaxSamples, then yank
+			// the coordinator and boot a successor on the same root and
+			// the same endpoint. Scheduling on progress rather than on
+			// wall-clock sleeps keeps every kill mid-flight however cheap
+			// a realization is.
+			var total int64
+			for _, sub := range subs {
+				total += sub.MaxSamples
+			}
+			fracs := make([]float64, 5)
+			for i := range fracs {
+				fracs[i] = 0.05 + 0.85*rnd.Float64()
+			}
+			sort.Float64s(fracs)
+			for kill := int64(1); kill <= int64(len(fracs)); kill++ {
+				if done := awaitProgress(t, m, ids, int64(fracs[kill-1]*float64(total))); done {
 					break
 				}
 				if m.mStale != nil {
@@ -196,6 +200,34 @@ func TestKillRestartChaos(t *testing.T) {
 	}
 	t.Logf("kill-restart totals: %d kills, %d resumed runs, %d stale-epoch fences, %d transport retries",
 		totalKills, totalResumed, totalStale, totalRetries)
+}
+
+// awaitProgress polls m until the runs' merged N reaches target, and
+// reports whether every run turned terminal first.
+func awaitProgress(t *testing.T, m *Manager, ids []string, target int64) (done bool) {
+	t.Helper()
+	// The same budget the final waitState gives: under injected faults a
+	// worker's long-poll can sit out its call timeout before retrying.
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		var n int64
+		done = true
+		for _, id := range ids {
+			st, err := m.Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += st.N
+			done = done && st.State.Terminal()
+		}
+		if done || n >= target {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("runs stuck at merged N=%d below kill point %d", n, target)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // rebind re-listens on addr, retrying while the previous incarnation's

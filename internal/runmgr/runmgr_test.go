@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"parmonc/internal/collect"
+	"parmonc/internal/obs"
+	"parmonc/internal/stat"
 	"parmonc/internal/workload"
 	_ "parmonc/internal/workload/builtin"
 )
@@ -398,5 +401,128 @@ func TestLeaseTimeoutReissue(t *testing.T) {
 	}
 	if final.Leases.Reissued == 0 {
 		t.Fatal("no lease was reissued despite the zombie")
+	}
+}
+
+// TestTerminalRunsReleaseExecutionState: a service hosting many runs
+// must not keep each finished run's journal, collector and grant map
+// alive. Status, report and the per-run samples gauge are served from
+// the final report instead.
+func TestTerminalRunsReleaseExecutionState(t *testing.T) {
+	const runs, maxsv = 200, 400
+	cfg := testConfig(t)
+	cfg.Registry = obs.NewRegistry()
+	cfg.MaxQueued = runs
+	m := newManager(t, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := m.StartLocalWorkers(ctx, 2, FleetWorkerConfig{})
+
+	subs := make([]Submission, runs)
+	ids := make([]string, runs)
+	for i := range subs {
+		subs[i] = piSubmission(maxsv, uint64(i+1))
+		subs[i].LeaseSize = 200
+		st, err := m.Submit(subs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = st.ID
+	}
+	for _, id := range ids {
+		waitState(t, m, id, StateDone, 60*time.Second)
+	}
+
+	m.mu.Lock()
+	for _, id := range ids {
+		r := m.runs[id]
+		if r.journal != nil || r.eng != nil || r.granted != nil {
+			t.Errorf("terminal run %s still holds journal %v, collector %v, grants %v",
+				id, r.journal != nil, r.eng != nil, r.granted != nil)
+		}
+	}
+	m.mu.Unlock()
+
+	metrics := cfg.Registry.Snapshot()
+	for i, id := range ids {
+		st, err := m.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Report(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.N != maxsv || rep.N != maxsv || st.MaxRelErr != rep.MaxRelErr {
+			t.Errorf("run %s: status N %d relerr %v, report N %d relerr %v",
+				id, st.N, st.MaxRelErr, rep.N, rep.MaxRelErr)
+		}
+		if got := metrics[`parmonc_run_samples{run="`+id+`"}`]; got != maxsv {
+			t.Errorf("run %s: parmonc_run_samples = %v, want %d", id, got, maxsv)
+		}
+		if i == 0 || i == runs-1 {
+			compareReports(t, "released/"+id, rep, runIsolated(t, subs[i]))
+		}
+	}
+	cancel()
+	if _, err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeaseCompletedWhenAnotherPushFinishesRun: two final windows
+// merge concurrently and the second push's reply finishes the run
+// before the first push re-takes the manager lock. The first lease
+// completed too and must count as completed, not silently vanish with
+// the revoked grants.
+func TestLeaseCompletedWhenAnotherPushFinishesRun(t *testing.T) {
+	m := newManager(t, testConfig(t))
+	sub := piSubmission(2000, 1)
+	sub.PassEvery = 1000
+	st, err := m.Submit(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := m.attach(AttachArgs{Hostname: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leases []Task
+	for i := 0; i < 2; i++ {
+		pr, err := m.pullTask(context.Background(), PullArgs{Worker: w.Worker})
+		if err != nil || !pr.Granted {
+			t.Fatalf("pull %d: granted=%v err=%v", i, pr.Granted, err)
+		}
+		leases = append(leases, pr.Task)
+	}
+	window := stat.New(1, 1)
+	for i := 0; i < 1000; i++ {
+		if err := window.Add([]float64{float64(i % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := window.Snapshot()
+
+	// The first lease's final window merges, as pushOne merges it
+	// outside the manager lock, but its reply has not been processed.
+	a := leases[0].Lease
+	m.mu.Lock()
+	eng := m.runs[st.ID].eng
+	m.mu.Unlock()
+	if err := eng.PushFrom(collect.PushOrigin{Worker: int(a.Proc), Seq: a.Start + uint64(a.Count), Lease: a.ID, Done: a.Count}, snap); err != nil {
+		t.Fatal(err)
+	}
+	// The second lease's final push reaches the target and finishes the run.
+	b := leases[1].Lease
+	rep, err := m.pushTask(TaskPushArgs{Worker: w.Worker, Epoch: w.Epoch, RunID: st.ID, LeaseID: b.ID, Done: b.Count, Snap: snap})
+	if err != nil || !rep.Final {
+		t.Fatalf("second final push: %+v, %v", rep, err)
+	}
+	rs, err := m.Run(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.State != StateDone || rs.Leases.Completed != int64(rs.Leases.Total) || rs.Leases.Outstanding != 0 {
+		t.Fatalf("run %s with leases %+v, want done with every lease completed", rs.State, rs.Leases)
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the tracked microbenchmarks (collector push throughput — serial
-# and contended —, the RNG kernels, and the per-workload realization
-# sweep BenchmarkRealization/<name>) and write a machine-readable snapshot BENCH_<date>.json
+# and contended —, the RNG kernels and stream positioning, end-to-end
+# in-process pi throughput, and the per-workload realization sweep
+# BenchmarkRealization/<name>) and write a machine-readable snapshot BENCH_<date>.json
 # at the repo root. CI runs this on every push and uploads the snapshot
 # as an artifact; the checked-in baseline is the reference point for
 # the "collector push must not regress" budget.
@@ -15,11 +16,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${BENCH_PATTERN:-^(BenchmarkCollectorPush|BenchmarkCollectorPushContended|BenchmarkRNG|BenchmarkRealization|BenchmarkManifestAppend|BenchmarkFleetRPCPerRealization|BenchmarkPushBatch)$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkCollectorPush|BenchmarkCollectorPushContended|BenchmarkRNG|BenchmarkNextRealization|BenchmarkNewStream|BenchmarkEndToEndPi|BenchmarkRealization|BenchmarkManifestAppend|BenchmarkFleetRPCPerRealization|BenchmarkPushBatch)$}"
 DATE="$(date +%F)"
 OUT="${BENCH_OUT:-BENCH_${DATE}.json}"
 
-RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem . ./internal/runmgr)"
+RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -benchmem . ./internal/rng ./internal/runmgr)"
 echo "$RAW"
 
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
@@ -27,10 +28,13 @@ GOVER="$(go version | awk '{print $3}')"
 
 # Each result line is: name iterations (value unit)... — turn the
 # unit pairs into a metrics object, sanitizing units into JSON keys
-# (ns/op -> ns_op, MB/s -> MB_s, allocs/op -> allocs_op).
+# (ns/op -> ns_op, MB/s -> MB_s, allocs/op -> allocs_op). The -<GOMAXPROCS>
+# suffix go test appends on multi-core hosts is dropped, so a snapshot
+# names its benchmarks the same on any host and the gate can match them.
 echo "$RAW" | awk -v date="$DATE" -v commit="$COMMIT" -v gover="$GOVER" '
 /^Benchmark/ {
     name = $1
+    sub(/-[0-9]+$/, "", name)
     iters = $2
     metrics = ""
     for (i = 3; i + 1 <= NF; i += 2) {

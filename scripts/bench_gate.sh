@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Benchmark regression gate for the collector push budget: diff the
-# BenchmarkCollectorPush* ns/op figures in a fresh bench snapshot
+# Benchmark regression gate for the collector push budget and the RNG
+# layer: diff the gated ns/op figures in a fresh bench snapshot
 # (produced by scripts/bench.sh) against the committed baseline and
 # fail on any regression beyond the tolerance. The serialized-collector
 # era ended at 16.6µs/push; this gate is what keeps the sharded
-# collector from quietly sliding back toward it.
+# collector from quietly sliding back toward it, and what keeps the
+# per-realization stream advance at one multiply.
+# BenchmarkEndToEndPi is recorded by bench.sh but not gated: it moves
+# ±15–20% between runs on a 2-core host.
 #
 # Usage: scripts/bench_gate.sh <fresh.json> [baseline.json]
 #
@@ -16,7 +19,8 @@
 # Environment:
 #   BENCH_TOLERANCE_PCT  allowed ns/op growth in percent (default 20)
 #   BENCH_GATE_PREFIX    space-separated benchmark name prefixes to gate
-#                        (default "BenchmarkCollectorPush BenchmarkPushBatch")
+#                        (default "BenchmarkCollectorPush BenchmarkPushBatch
+#                        BenchmarkRNG BenchmarkNextRealization BenchmarkNewStream")
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +28,7 @@ cd "$(dirname "$0")/.."
 FRESH="${1:?usage: bench_gate.sh <fresh.json> [baseline.json]}"
 BASELINE="${2:-$(ls BENCH_*.json 2>/dev/null | sort | tail -1)}"
 TOL="${BENCH_TOLERANCE_PCT:-20}"
-PREFIX="${BENCH_GATE_PREFIX:-BenchmarkCollectorPush BenchmarkPushBatch}"
+PREFIX="${BENCH_GATE_PREFIX:-BenchmarkCollectorPush BenchmarkPushBatch BenchmarkRNG BenchmarkNextRealization BenchmarkNewStream}"
 
 if [ -z "$BASELINE" ]; then
     echo "bench_gate: no committed BENCH_*.json baseline found" >&2
