@@ -95,10 +95,10 @@ func (n *Normal) std(src Source) float64 {
 	// α ∈ (0,1) strictly, so log is finite and the pair is well-defined.
 	r := math.Sqrt(-2 * math.Log(src.Float64()))
 	theta := 2 * math.Pi * src.Float64()
-	z0 := r * math.Cos(theta)
-	n.spare = r * math.Sin(theta)
+	sin, cos := math.Sincos(theta)
+	n.spare = r * sin
 	n.has = true
-	return z0
+	return r * cos
 }
 
 // Reset discards the cached spare variate. Call it when repositioning

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"parmonc/internal/rng"
@@ -128,6 +129,36 @@ func TestNormalResetDropsSpare(t *testing.T) {
 	n.Reset()
 	if n.has {
 		t.Fatal("Reset did not clear the spare")
+	}
+}
+
+func TestSincosMatchesSinCosBits(t *testing.T) {
+	// Normal's Box–Muller pair and the wos and dsmc direction draws
+	// take both sine and cosine of one angle with math.Sincos; this pins
+	// that it is bit-identical to separate math.Sin and math.Cos calls
+	// on the angles those sites form (2π·α and Uniform(0, 2π)), on
+	// their negatives, and on the special values.
+	if runtime.GOARCH == "s390x" {
+		t.Skip("s390x has assembly Sin and Cos but a pure-Go Sincos, so their bits may differ there")
+	}
+	check := func(x float64) {
+		sin, cos := math.Sincos(x)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(x)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos = (%v, %v)", x, sin, cos, math.Sin(x), math.Cos(x))
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		math.Pi / 4, math.Pi / 2, math.Pi, 2 * math.Pi, math.Nextafter(2*math.Pi, 0)} {
+		check(x)
+		check(-x)
+	}
+	s := src(t)
+	for i := 0; i < 1_000_000; i++ {
+		alpha := s.Float64()
+		check(2 * math.Pi * alpha)
+		check(Uniform(s, 0, 2*math.Pi))
+		check(-2 * math.Pi * alpha)
 	}
 }
 

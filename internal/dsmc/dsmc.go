@@ -144,7 +144,8 @@ func collide(src dist.Source, a, b *[3]float64) {
 	cosT := dist.Uniform(src, -1, 1)
 	sinT := math.Sqrt(1 - cosT*cosT)
 	phi := dist.Uniform(src, 0, 2*math.Pi)
-	omega := [3]float64{sinT * math.Cos(phi), sinT * math.Sin(phi), cosT}
+	sinP, cosP := math.Sincos(phi)
+	omega := [3]float64{sinT * cosP, sinT * sinP, cosT}
 	for k := 0; k < 3; k++ {
 		a[k] = cm[k] + relMag/2*omega[k]
 		b[k] = cm[k] - relMag/2*omega[k]

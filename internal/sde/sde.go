@@ -64,9 +64,19 @@ func ConstDrift(c []float64) Drift {
 	}
 }
 
+// linePad is one 64-byte cache line in float64s.
+const linePad = 8
+
 // Integrator advances trajectories of a System with the Euler–Maruyama
 // scheme. One Integrator may be reused across realizations on the same
 // stream; it is not safe for concurrent use.
+//
+// The vectors every step writes (y, drift, xi) are windows of one
+// allocation with a cache line of padding on each side, so they never
+// share a cache line with another allocation. Workers build their
+// integrators back to back; without the padding, one worker's xi and
+// the next worker's y land on one line and every step of each worker
+// invalidates the other's copy (false sharing).
 type Integrator struct {
 	sys    System
 	h      float64
@@ -87,12 +97,14 @@ func NewIntegrator(sys System, h float64) (*Integrator, error) {
 	if h <= 0 {
 		return nil, fmt.Errorf("sde: mesh size %g must be positive", h)
 	}
+	d := sys.Dim
+	block := make([]float64, linePad+3*d+linePad)
 	it := &Integrator{
 		sys:   sys,
 		h:     h,
-		y:     make([]float64, sys.Dim),
-		drift: make([]float64, sys.Dim),
-		xi:    make([]float64, sys.Dim),
+		y:     block[linePad : linePad+d : linePad+d],
+		drift: block[linePad+d : linePad+2*d : linePad+2*d],
+		xi:    block[linePad+2*d : linePad+3*d : linePad+3*d],
 	}
 	it.sqrtH = math.Sqrt(h)
 	it.Reset()
@@ -121,10 +133,19 @@ func (it *Integrator) Y() []float64 { return it.y }
 // Step advances one Euler–Maruyama step using base random numbers from
 // src.
 func (it *Integrator) Step(src rng.Source) {
+	it.step(src, &it.normal, it.t)
+	it.t += it.h
+	it.steps++
+}
+
+// step is the one Euler–Maruyama step body: it advances y in place
+// from time t, drawing ξ from normal. The caller advances the time and
+// step count, so SampleTrajectory can keep them (and normal) in locals.
+func (it *Integrator) step(src rng.Source, normal *dist.Normal, t float64) {
 	d := it.sys.Dim
-	it.sys.Drift(it.t, it.y, it.drift)
+	it.sys.Drift(t, it.y, it.drift)
 	for i := 0; i < d; i++ {
-		it.xi[i] = it.normal.Sample(src)
+		it.xi[i] = normal.Sample(src)
 	}
 	for i := 0; i < d; i++ {
 		var noise float64
@@ -134,8 +155,6 @@ func (it *Integrator) Step(src rng.Source) {
 		}
 		it.y[i] += it.h*it.drift[i] + it.sqrtH*noise
 	}
-	it.t += it.h
-	it.steps++
 }
 
 // SampleTrajectory integrates from 0 to tEnd, recording the state at the
@@ -143,6 +162,10 @@ func (it *Integrator) Step(src rng.Source) {
 // out (row-major nOut×Dim). This produces exactly the realization matrix
 // [ζ_ij] of the paper's performance test. The mesh must divide the
 // output interval; SampleTrajectory returns an error otherwise.
+//
+// The time, step count and normal sampler live in locals for the whole
+// trajectory and are stored back once at the end, leaving the
+// integrator exactly where the same number of Step calls would.
 func (it *Integrator) SampleTrajectory(src rng.Source, tEnd float64, nOut int, out []float64) error {
 	d := it.sys.Dim
 	if nOut <= 0 {
@@ -164,12 +187,16 @@ func (it *Integrator) SampleTrajectory(src rng.Source, tEnd float64, nOut int, o
 		return fmt.Errorf("sde: mesh %g does not divide output interval %g", it.h, interval)
 	}
 	it.Reset()
+	t, h := 0.0, it.h
+	var normal dist.Normal // the standard sampler with no spare, as Reset leaves it.normal
 	for i := 0; i < nOut; i++ {
 		for s := int64(0); s < stepsPerOut; s++ {
-			it.Step(src)
+			it.step(src, &normal, t)
+			t += h
 		}
 		copy(out[i*d:(i+1)*d], it.y)
 	}
+	it.t, it.steps, it.normal = t, int64(nOut)*stepsPerOut, normal
 	return nil
 }
 

@@ -123,8 +123,9 @@ func (s Solver) Walk(src dist.Source, x0 [2]float64, out []float64) error {
 			return nil
 		}
 		theta := dist.Uniform(src, 0, 2*math.Pi)
-		p[0] += r * math.Cos(theta)
-		p[1] += r * math.Sin(theta)
+		sin, cos := math.Sincos(theta)
+		p[0] += r * cos
+		p[1] += r * sin
 	}
 	return fmt.Errorf("wos: walk did not reach the boundary in %d steps", maxSteps)
 }
