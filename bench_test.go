@@ -346,8 +346,11 @@ func BenchmarkCollectorPushContended(b *testing.B) {
 
 // BenchmarkEndToEndPi measures whole-pipeline throughput on the cheapest
 // possible realization, bounding the library's own overhead per
-// realization.
+// realization. The run context is cancelable, as the CLI's is: unlike
+// context.Background, it carries a mutex the workers share.
 func BenchmarkEndToEndPi(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for i := 0; i < b.N; i++ {
 		cfg := parmonc.Config{
 			Nrow: 1, Ncol: 1,
@@ -356,7 +359,7 @@ func BenchmarkEndToEndPi(b *testing.B) {
 			PassPeriod: 100 * time.Millisecond,
 			AverPeriod: 200 * time.Millisecond,
 		}
-		_, err := parmonc.Run(context.Background(), cfg, func(src *parmonc.Stream, out []float64) error {
+		_, err := parmonc.Run(ctx, cfg, func(src *parmonc.Stream, out []float64) error {
 			x, y := src.Float64(), src.Float64()
 			if x*x+y*y < 1 {
 				out[0] = 1

@@ -414,6 +414,28 @@ func TestCLICoordWorkerParamMismatch(t *testing.T) {
 	}
 }
 
+// TestCLIWorkerServiceRejectsUnwiredFlags: a service-mode worker
+// exposes no metrics and writes no journal, so -http and -journal are
+// refused by name before the worker dials anything, instead of being
+// accepted and silently ignored.
+func TestCLIWorkerServiceRejectsUnwiredFlags(t *testing.T) {
+	bin := buildCLI(t, "cmd/parmonc")
+	dir := t.TempDir()
+	for _, c := range [][]string{
+		{"-http", "127.0.0.1:0"},
+		{"-journal", filepath.Join(dir, "events.jsonl")},
+	} {
+		args := append([]string{"worker", "-service", "-addr", "127.0.0.1:1"}, c...)
+		out, err := runCLI(t, dir, bin, args...)
+		if err == nil {
+			t.Fatalf("%v accepted:\n%s", c, out)
+		}
+		if !strings.Contains(out, "does not support "+c[0]) || strings.Contains(out, "joining") {
+			t.Fatalf("%v: want a usage error naming %s before joining, got:\n%s", c, c[0], out)
+		}
+	}
+}
+
 func TestCLIUnknownWorkload(t *testing.T) {
 	bin := buildCLI(t, "cmd/parmonc")
 	out, err := runCLI(t, t.TempDir(), bin, "run", "-workload", "nope", "-maxsv", "10")

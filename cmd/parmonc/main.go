@@ -548,6 +548,17 @@ func cmdWorker(args []string) error {
 		DialTimeout: *dialTimeout,
 	}
 	if *service {
+		// Service-mode workers expose no metrics and write no journal
+		// yet; refuse the flags rather than accept and ignore them.
+		var unwired error
+		fs.Visit(func(f *flag.Flag) {
+			if (f.Name == "http" || f.Name == "journal") && unwired == nil {
+				unwired = fmt.Errorf("worker -service does not support -%s yet", f.Name)
+			}
+		})
+		if unwired != nil {
+			return unwired
+		}
 		// Fleet workers take their workloads from the tasks they pull,
 		// so the -workload/-set/-scenario flags do not apply here.
 		fmt.Printf("fleet worker joining %s\n", *addr)

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -510,75 +511,88 @@ func runWorker(ctx context.Context, cfg Config, params rng.Params, m int, leases
 		}
 	}()
 
-	// one realization: zero the buffer, run the routine, accumulate.
-	step := func(stream *rng.Stream, k int64) error {
-		for i := range out {
-			out[i] = 0
-		}
-		var t0 time.Time
-		if ro != nil {
-			t0 = time.Now()
-		}
-		if err := callRealization(r, stream, out); err != nil {
-			return fmt.Errorf("realization %d: %w", k, err)
-		}
-		if ro != nil {
-			ro.realizations.Inc()
-			ro.realizeSec.Observe(time.Since(t0).Seconds())
-		}
-		if err := local.Add(out); err != nil {
-			return err
-		}
-		if cfg.StrictExchange {
-			return push()
-		}
-		if now, ok := pass.tick(); ok && now.Sub(windowStart) >= cfg.PassPeriod {
-			return push()
-		}
-		return nil
-	}
-
 	if cfg.MaxSamples <= 0 {
 		// Unbounded: an endless window on processor subsequence m+1.
-		stream, err := rng.NewStream(params, rng.Coord{Experiment: cfg.SeqNum, Processor: uint64(m) + 1})
-		if err != nil {
-			return err
-		}
-		for k := int64(0); ; k++ {
-			if ctx.Err() != nil || eng.StopSatisfied() {
-				return nil
-			}
-			if k > 0 {
-				if err := stream.NextRealization(); err != nil {
-					return err
-				}
-			}
-			if err := step(stream, k); err != nil {
-				return err
-			}
-		}
+		leases = []collect.Lease{{Proc: uint64(m) + 1, Count: math.MaxInt64}}
 	}
-
+	done, stop := ctx.Done(), eng.StopSatisfied
 	for _, l := range leases {
 		stream, err := rng.NewStream(params, rng.Coord{Experiment: cfg.SeqNum, Processor: l.Proc, Realization: l.Start})
 		if err != nil {
 			return err
 		}
-		for k := int64(0); k < l.Count; k++ {
-			if ctx.Err() != nil || eng.StopSatisfied() {
-				return nil
+		for k := int64(0); k < l.Count; {
+			// A window runs up to the next clock read of the pass check;
+			// strict exchange pushes, and the registry times, every
+			// single realization.
+			end := min(l.Count, k+pass.window())
+			if cfg.StrictExchange || ro != nil {
+				end = k + 1
 			}
-			if k > 0 {
-				if err := stream.NextRealization(); err != nil {
-					return err
-				}
+			var t0 time.Time
+			if ro != nil {
+				t0 = time.Now()
 			}
-			if err := step(stream, k); err != nil {
+			next, err := Simulate(done, stop, stream, r, out, local, k, end)
+			if ro != nil && next == end {
+				ro.realizations.Inc()
+				ro.realizeSec.Observe(time.Since(t0).Seconds())
+			}
+			if err != nil || next < end {
 				return err
 			}
+			if cfg.StrictExchange {
+				err = push()
+			} else if now, ok := pass.tick(int(end - k)); ok && now.Sub(windowStart) >= cfg.PassPeriod {
+				err = push()
+			}
+			if err != nil {
+				return err
+			}
+			k = end
 		}
 	}
 	return nil
+}
+
+// Simulate runs realizations k, k+1, …, n−1 of the lease window s was
+// opened at, folding each into acc, and returns the index of the next
+// realization to run: n, or less once done is closed or stop reports
+// true at a realization boundary. s sits at realization k when k is 0
+// and at k−1, the last one run, otherwise; it is advanced to the next
+// realization subsequence before every realization but the window's
+// first. A nil stop never fires.
+//
+// It is the one realization loop of the in-process driver and of the
+// fleet worker, and per realization it writes no memory shared between
+// workers: cancellation is polled with a non-blocking receive on done,
+// which only reads the channel, never with ctx.Err(), which locks the
+// context's mutex that every worker of a run shares. A panic in r
+// becomes an error naming the realization.
+func Simulate(done <-chan struct{}, stop func() bool, s *rng.Stream, r Realization, out []float64, acc *stat.Accumulator, k, n int64) (int64, error) {
+	for ; k < n; k++ {
+		select {
+		case <-done:
+			return k, nil
+		default:
+		}
+		if stop != nil && stop() {
+			return k, nil
+		}
+		if k > 0 {
+			if err := s.NextRealization(); err != nil {
+				return k, err
+			}
+		}
+		clear(out)
+		if err := callRealization(r, s, out); err != nil {
+			return k, fmt.Errorf("realization %d: %w", s.Coord().Realization, err)
+		}
+		if err := acc.Add(out); err != nil {
+			return k, err
+		}
+	}
+	return k, nil
 }
 
 // Cadence of a worker's PassPeriod check.
@@ -599,10 +613,14 @@ type passCheck struct {
 	last         time.Time
 }
 
-// tick counts one realization. On the cadence it reads the clock and
-// returns the time and true.
-func (p *passCheck) tick() (time.Time, bool) {
-	if p.count++; p.count < p.every {
+// window returns how many realizations are left before the next clock
+// read.
+func (p *passCheck) window() int64 { return int64(p.every - p.count) }
+
+// tick counts n realizations, at most window(). On the cadence it reads
+// the clock and returns the time and true.
+func (p *passCheck) tick(n int) (time.Time, bool) {
+	if p.count += n; p.count < p.every {
 		return time.Time{}, false
 	}
 	p.count = 0

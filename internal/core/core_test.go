@@ -286,6 +286,43 @@ func TestContextCancellationGraceful(t *testing.T) {
 	if res.Report.N == 0 {
 		t.Fatal("no samples accumulated before cancellation")
 	}
+
+	// Cancel from inside realization cancelAt of a bounded two-worker
+	// run. Each worker stops at its next realization boundary: once
+	// cancel has returned, the canceling worker starts no realization
+	// and the other at most the one whose boundary it had already
+	// passed. Every completed realization is in the report.
+	const cancelAt = 5000
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg = fastCfg(t.TempDir())
+	cfg.Workers = 2
+	cfg.MaxSamples = 1_000_000
+	var calls, late atomic.Int64
+	var canceled atomic.Bool
+	res, runErr = Run(ctx, cfg, func(src *rng.Stream, out []float64) error {
+		if canceled.Load() {
+			late.Add(1)
+		}
+		out[0] = src.Float64()
+		if calls.Add(1) == cancelAt {
+			cancel()
+			canceled.Store(true)
+		}
+		return nil
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if !res.Interrupted {
+		t.Fatal("in-routine cancel: Interrupted not set")
+	}
+	if n := late.Load(); n > 1 {
+		t.Fatalf("%d realizations started after the cancel returned, want at most 1", n)
+	}
+	if n := res.Report.N; n != calls.Load() || n < cancelAt {
+		t.Fatalf("in-routine cancel at realization %d: report N = %d after %d calls", cancelAt, n, calls.Load())
+	}
 }
 
 func TestMatrixRealization(t *testing.T) {
@@ -732,7 +769,7 @@ func TestMeanSimTimeIsWindowTime(t *testing.T) {
 func TestPassCheckCadence(t *testing.T) {
 	fast := passCheck{every: 1, last: time.Now()}
 	for i := 0; i < 100_000 && fast.every < maxPassCheckEvery; i++ {
-		fast.tick()
+		fast.tick(1)
 	}
 	if fast.every != maxPassCheckEvery {
 		t.Errorf("cheap realizations: cadence %d, want %d", fast.every, maxPassCheckEvery)
@@ -741,14 +778,14 @@ func TestPassCheckCadence(t *testing.T) {
 	slow := passCheck{every: maxPassCheckEvery, last: time.Now()}
 	for i := 0; i < maxPassCheckEvery+4; i++ {
 		time.Sleep(2 * passCheckGap)
-		slow.tick()
+		slow.tick(1)
 	}
 	if slow.every != 1 {
 		t.Errorf("slow realizations: cadence %d, want 1", slow.every)
 	}
 	for i := 0; i < 3; i++ {
 		time.Sleep(2 * passCheckGap)
-		if _, ok := slow.tick(); !ok {
+		if _, ok := slow.tick(1); !ok {
 			t.Fatalf("slow realization %d skipped its clock read", i)
 		}
 	}

@@ -735,73 +735,59 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 		snap.SimTimeNS = int64(time.Since(windowStart))
 		return snap
 	}
-	for k := int64(0); k < l.Count; k++ {
-		if ctx.Err() != nil {
-			return // abandon mid-window; nothing partial leaves this worker
-		}
-		if k > 0 {
-			if err := stream.NextRealization(); err != nil {
-				_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
-				return
-			}
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		if err := callRealization(realize, stream, out); err != nil {
-			_ = api.Fail(ctx, FailArgs{
-				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID,
-				Reason: fmt.Sprintf("realization %d: %v", uint64(k)+l.Start, err),
-			})
-			return
-		}
-		if err := local.Add(out); err != nil {
+	canceled := ctx.Done()
+	for k := int64(0); k < l.Count; {
+		end := min(l.Count, k+max(task.PassEvery, 1))
+		next, err := core.Simulate(canceled, nil, stream, realize, out, local, k, end)
+		rep.Realizations += next - k
+		if err != nil {
 			_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
 			return
 		}
-		rep.Realizations++
-		if local.N() >= task.PassEvery || k == l.Count-1 {
-			done += local.N()
-			if batcher != nil {
-				// Coalesced path: buffer the window (Snapshot is a deep
-				// copy) and keep simulating; the batcher decides when the
-				// wire sees it. A flush verdict that ended this lease —
-				// fenced, run finished, entry rejected — abandons the task
-				// exactly as an unbatched reply would.
-				if err := batcher.add(ctx, worker, epoch, PushEntry{
-					RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
-				}); err != nil {
-					return
-				}
-				if batcher.done(task.RunID, l.ID) {
-					return
-				}
-				local.Reset()
-				windowStart = time.Now()
-				continue
-			}
-			pres, err := api.Push(ctx, TaskPushArgs{
-				Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				// Either the coordinator definitively rejected the
-				// snapshot or the transport gave up; in both cases this
-				// worker cannot advance the run. Report and abandon —
-				// an unreachable coordinator ignores the report and the
-				// lease times out.
-				_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
+		if next < end {
+			return // abandon mid-window; nothing partial leaves this worker
+		}
+		k = end
+		done += local.N()
+		if batcher != nil {
+			// Coalesced path: buffer the window (Snapshot is a deep
+			// copy) and keep simulating; the batcher decides when the
+			// wire sees it. A flush verdict that ended this lease —
+			// fenced, run finished, entry rejected — abandons the task
+			// exactly as an unbatched reply would.
+			if err := batcher.add(ctx, worker, epoch, PushEntry{
+				RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
+			}); err != nil {
 				return
 			}
-			rep.Pushes++
-			if pres.Fenced || pres.Final {
+			if batcher.done(task.RunID, l.ID) {
 				return
 			}
 			local.Reset()
 			windowStart = time.Now()
+			continue
 		}
+		pres, err := api.Push(ctx, TaskPushArgs{
+			Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
+		})
+		if err != nil {
+			if ctx.Err() != nil {
+				return
+			}
+			// Either the coordinator definitively rejected the
+			// snapshot or the transport gave up; in both cases this
+			// worker cannot advance the run. Report and abandon —
+			// an unreachable coordinator ignores the report and the
+			// lease times out.
+			_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
+			return
+		}
+		rep.Pushes++
+		if pres.Fenced || pres.Final {
+			return
+		}
+		local.Reset()
+		windowStart = time.Now()
 	}
 }
 
@@ -835,18 +821,6 @@ func resolveTask(task Task, worker int) (core.Realization, error) {
 		return nil, err
 	}
 	return factory(worker)
-}
-
-// callRealization converts a panicking user routine into an error, as
-// the single-run engine does — one bad realization fails its run
-// cleanly instead of taking the whole fleet worker down.
-func callRealization(r core.Realization, stream *rng.Stream, out []float64) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("runmgr: realization panicked: %v", p)
-		}
-	}()
-	return r(stream, out)
 }
 
 // FleetGroup is a set of running fleet workers.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"parmonc/internal/rng"
 	"parmonc/internal/stat"
 	"parmonc/internal/workload"
 )
@@ -279,52 +280,91 @@ func TestPushBatchBackpressure(t *testing.T) {
 	}
 }
 
-// TestDetachReissuesLeases: canceling a worker's context detaches it
-// and reissues its leases immediately. The lease timeout is an hour,
-// so any reissue observed here can only have come from the detach.
+// TestDetachReissuesLeases: canceling the fleet workers' context —
+// from inside realization cancelAt of one worker's lease — stops each
+// worker at its next realization boundary, abandons the window in
+// flight without pushing any part of it, detaches, and reissues every
+// lease from its done ledger, which sits on a PassEvery boundary. The
+// lease timeout is an hour, so any reissue observed here can only have
+// come from the detach. Coalesced pushes may still hold completed
+// windows when the context ends; per-window pushes must have delivered
+// every one.
 func TestDetachReissuesLeases(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.LeaseTimeout = time.Hour
-	m := newManager(t, cfg)
-	st, err := m.Submit(Submission{
-		Scenario:   workload.Spec{Workload: "pi"},
-		MaxSamples: 10_000_000,
-		PassEvery:  1000,
-		LeaseSize:  500_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g := m.StartLocalWorkers(ctx, 2, FleetWorkerConfig{})
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s, err := m.Run(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Leases.Outstanding > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no lease ever granted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if _, err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.Run(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Leases.Outstanding != 0 {
-		t.Fatalf("%d leases still outstanding after all workers detached", s.Leases.Outstanding)
-	}
-	if s.Leases.Reissued == 0 {
-		t.Fatal("no lease reissued on detach — remainder would wait out the 1h timeout")
+	const passEvery, cancelAt = 1000, 2500
+	for name, flush := range map[string]time.Duration{"coalesced": 0, "per-window": -1} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(t)
+			cfg.LeaseTimeout = time.Hour
+			m := newManager(t, cfg)
+			st, err := m.Submit(Submission{
+				Scenario:   workload.Spec{Workload: "test_probe"},
+				MaxSamples: 10_000_000,
+				PassEvery:  passEvery,
+				LeaseSize:  500_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			var canceler uint64 // processor whose realization canceled
+			setProbe(t, func(c rng.Coord) {
+				if c.Realization == cancelAt {
+					once.Do(func() {
+						canceler = c.Processor
+						cancel()
+					})
+				}
+			})
+			g := m.StartLocalWorkers(ctx, 2, FleetWorkerConfig{FlushInterval: flush})
+			exited := make(chan error, 1)
+			go func() {
+				_, err := g.Wait()
+				exited <- err
+			}()
+			select {
+			case err := <-exited:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("fleet workers did not exit after the cancel")
+			}
+			s, err := m.Run(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Leases.Outstanding != 0 {
+				t.Fatalf("%d leases still outstanding after all workers detached", s.Leases.Outstanding)
+			}
+			if s.Leases.Reissued == 0 {
+				t.Fatal("no lease reissued on detach — remainder would wait out the 1h timeout")
+			}
+
+			// Every lease's done ledger is where its remainder starts.
+			m.mu.Lock()
+			ledger := map[uint64]uint64{}
+			var sum uint64
+			for _, l := range m.runs[st.ID].pending {
+				ledger[l.Proc] = l.Start
+				sum += l.Start
+			}
+			m.mu.Unlock()
+			if sum != uint64(s.N) {
+				t.Fatalf("merged N = %d, but the done ledgers sum to %d: a partial window was pushed", s.N, sum)
+			}
+			for proc, done := range ledger {
+				if done%passEvery != 0 {
+					t.Fatalf("proc %d: done ledger %d is not on a PassEvery boundary", proc, done)
+				}
+			}
+			last := uint64(cancelAt / passEvery * passEvery)
+			if got := ledger[canceler]; got > last || (flush < 0 && got != last) {
+				t.Fatalf("canceling proc %d: done ledger %d, want the last boundary %d before realization %d",
+					canceler, got, last, cancelAt)
+			}
+		})
 	}
 }
 

@@ -3,16 +3,54 @@ package runmgr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parmonc/internal/collect"
+	"parmonc/internal/core"
 	"parmonc/internal/obs"
+	"parmonc/internal/rng"
 	"parmonc/internal/stat"
 	"parmonc/internal/workload"
 	_ "parmonc/internal/workload/builtin"
 )
+
+// probeHook, when set, runs at the start of every realization of the
+// test-only "test_probe" workload with the realization's coordinate.
+var probeHook atomic.Pointer[func(rng.Coord)]
+
+func init() {
+	workload.Register(workload.Definition{
+		Name:        "test_probe",
+		Description: "pi with a per-realization test hook",
+		Schema:      workload.Schema{Version: 1},
+		Dims:        func(workload.Values) (int, int) { return 1, 1 },
+		Factory: func(workload.Values) (core.Factory, error) {
+			return func(int) (core.Realization, error) {
+				return func(src *rng.Stream, out []float64) error {
+					if h := probeHook.Load(); h != nil {
+						(*h)(src.Coord())
+					}
+					x, y := src.Float64(), src.Float64()
+					if x*x+y*y < 1 {
+						out[0] = 1
+					}
+					return nil
+				}, nil
+			}, nil
+		},
+	})
+}
+
+// setProbe installs h as the probe hook until the test ends.
+func setProbe(t *testing.T, h func(rng.Coord)) {
+	t.Helper()
+	probeHook.Store(&h)
+	t.Cleanup(func() { probeHook.Store(nil) })
+}
 
 func testConfig(t *testing.T) Config {
 	t.Helper()
@@ -371,6 +409,87 @@ func TestManagerCloseCancelsRuns(t *testing.T) {
 	}
 	if _, err := m.Submit(piSubmission(1000, 3)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: err = %v", err)
+	}
+}
+
+// TestFleetPanicFailsLeaseWorkerKeepsPulling: a realization that
+// panics fails its lease, and so its run, with a reason naming the
+// panic and the realization's absolute index in its processor
+// subsequence; the fleet worker survives and serves the next run.
+func TestFleetPanicFailsLeaseWorkerKeepsPulling(t *testing.T) {
+	const passEvery, panicAt = 100, 150
+	m := newManager(t, testConfig(t))
+	st, err := m.Submit(Submission{
+		Scenario:   workload.Spec{Workload: "test_probe"},
+		MaxSamples: 1000,
+		PassEvery:  passEvery,
+		LeaseSize:  1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first worker pushes the lease's first window and detaches, so
+	// the remainder is reissued from realization passEvery: the
+	// panicking realization's absolute index then differs from its
+	// index within the reissued lease.
+	first, err := m.attach(AttachArgs{Hostname: "first"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: first.Worker, Epoch: first.Epoch})
+	if err != nil || !pr.Granted {
+		t.Fatalf("first worker got no grant: %+v, %v", pr, err)
+	}
+	l := pr.Task.Lease
+	stream, err := rng.NewStream(pr.Task.Params, rng.Coord{Experiment: pr.Task.SeqNum, Processor: l.Proc, Realization: l.Start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	realize, err := resolveTask(pr.Task, first.Worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := stat.New(1, 1)
+	if _, err := core.Simulate(nil, nil, stream, realize, make([]float64, 1), acc, 0, passEvery); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.pushTask(TaskPushArgs{Worker: first.Worker, Epoch: first.Epoch, RunID: st.ID, LeaseID: l.ID, Done: passEvery, Snap: acc.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.detach(DetachArgs{Worker: first.Worker, Epoch: first.Epoch}); err != nil {
+		t.Fatal(err)
+	}
+
+	setProbe(t, func(c rng.Coord) {
+		if c.Processor == l.Proc && c.Realization == panicAt {
+			panic("probe bug")
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := m.StartLocalWorkers(ctx, 1, FleetWorkerConfig{})
+	failed := waitState(t, m, st.ID, StateFailed, 30*time.Second)
+	for _, frag := range []string{"panicked", "probe bug", fmt.Sprintf("realization %d", panicAt)} {
+		if !strings.Contains(failed.Error, frag) {
+			t.Errorf("failure reason %q lacks %q", failed.Error, frag)
+		}
+	}
+
+	// The same worker, still pulling, serves the next run.
+	next, err := m.Submit(piSubmission(3000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, m, next.ID, StateDone, 30*time.Second); done.N != 3000 {
+		t.Fatalf("next run N = %d, want 3000", done.N)
+	}
+	cancel()
+	reps, err := g.Wait()
+	if err != nil {
+		t.Fatalf("fleet worker exited with %v after the panic", err)
+	}
+	if len(reps) != 1 || reps[0].Realizations < 3000+panicAt-passEvery {
+		t.Fatalf("worker reports %+v, want one worker that ran both runs", reps)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the tracked microbenchmarks (collector push throughput — serial
-# and contended —, the RNG kernels and stream positioning, end-to-end
-# in-process pi throughput, the per-workload realization sweep
+# and contended —, the RNG kernels and stream positioning, the shared
+# realization loop on two workers, end-to-end in-process pi
+# throughput, the per-workload realization sweep
 # BenchmarkRealization/<name>, and the SDE integrator alone and on two
 # workers built back to back) and write a machine-readable snapshot
 # BENCH_<date>.json at the repo root. Every benchmark runs five times
@@ -19,11 +20,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN="${BENCH_PATTERN:-^(BenchmarkCollectorPush|BenchmarkCollectorPushContended|BenchmarkRNG|BenchmarkNextRealization|BenchmarkNewStream|BenchmarkEndToEndPi|BenchmarkRealization|BenchmarkManifestAppend|BenchmarkFleetRPCPerRealization|BenchmarkPushBatch|BenchmarkPaperRealization|BenchmarkPaperRealizationParallel)$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkCollectorPush|BenchmarkCollectorPushContended|BenchmarkRNG|BenchmarkNextRealization|BenchmarkNewStream|BenchmarkSimulateLoop|BenchmarkEndToEndPi|BenchmarkRealization|BenchmarkManifestAppend|BenchmarkFleetRPCPerRealization|BenchmarkPushBatch|BenchmarkPaperRealization|BenchmarkPaperRealizationParallel)$}"
 DATE="$(date +%F)"
 OUT="${BENCH_OUT:-BENCH_${DATE}.json}"
 
-RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 5 -benchmem . ./internal/rng ./internal/runmgr ./internal/sde)"
+RAW="$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count 5 -benchmem . ./internal/core ./internal/rng ./internal/runmgr ./internal/sde)"
 echo "$RAW"
 
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"

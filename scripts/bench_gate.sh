@@ -14,7 +14,11 @@
 # baseline host (2 vCPU, three snapshots): BenchmarkRealization/diffusion
 # read +3%, 0% and −36%, BenchmarkPaperRealizationParallel +16%, 0% and
 # −9%. BenchmarkEndToEndPi read 0%, +20% and −9%, so bench.sh records
-# it but it is not gated.
+# it but it is not gated. Nor is BenchmarkSimulateLoop (the realization
+# loop on two workers sharing one cancelable context): its 5-run medians
+# on that host fell in two modes, 28.5–32.5 ns and 54.4–58.1 ns across
+# seven sets, the slow one matching a run at -cpu 1 (52–62 ns), i.e. the host
+# lending the benchmark one CPU instead of two.
 #
 # Usage: scripts/bench_gate.sh <fresh.json> [baseline.json]
 #
