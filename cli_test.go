@@ -417,22 +417,47 @@ func TestCLICoordWorkerParamMismatch(t *testing.T) {
 // TestCLIWorkerServiceRejectsUnwiredFlags: a service-mode worker
 // exposes no metrics and writes no journal, so -http and -journal are
 // refused by name before the worker dials anything, instead of being
-// accepted and silently ignored.
+// accepted and silently ignored. A negative -push-interval is refused
+// the same way: the push cadence has no "disabled" mode.
 func TestCLIWorkerServiceRejectsUnwiredFlags(t *testing.T) {
 	bin := buildCLI(t, "cmd/parmonc")
 	dir := t.TempDir()
-	for _, c := range [][]string{
-		{"-http", "127.0.0.1:0"},
-		{"-journal", filepath.Join(dir, "events.jsonl")},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-http", "127.0.0.1:0"}, "does not support -http"},
+		{[]string{"-journal", filepath.Join(dir, "events.jsonl")}, "does not support -journal"},
+		{[]string{"-push-interval", "-1ms"}, "-push-interval -1ms must not be negative"},
 	} {
-		args := append([]string{"worker", "-service", "-addr", "127.0.0.1:1"}, c...)
+		args := append([]string{"worker", "-service", "-addr", "127.0.0.1:1"}, c.args...)
 		out, err := runCLI(t, dir, bin, args...)
 		if err == nil {
-			t.Fatalf("%v accepted:\n%s", c, out)
+			t.Fatalf("%v accepted:\n%s", c.args, out)
 		}
-		if !strings.Contains(out, "does not support "+c[0]) || strings.Contains(out, "joining") {
-			t.Fatalf("%v: want a usage error naming %s before joining, got:\n%s", c, c[0], out)
+		if !strings.Contains(out, c.want) || strings.Contains(out, "joining") {
+			t.Fatalf("%v: want a usage error %q before joining, got:\n%s", c.args, c.want, out)
 		}
+	}
+}
+
+// TestCLIServeRejectsNegativePullWait: the long-poll hold has no
+// "disabled" mode, so serve refuses a negative -pull-wait by name
+// before it opens its data root or listens.
+func TestCLIServeRejectsNegativePullWait(t *testing.T) {
+	bin := buildCLI(t, "cmd/parmonc")
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	out, err := runCLI(t, dir, bin, "serve", "-pull-wait", "-1s", "-dir", data,
+		"-http", "127.0.0.1:0", "-fleet", "127.0.0.1:0")
+	if err == nil {
+		t.Fatalf("negative -pull-wait accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "-pull-wait -1s must not be negative") {
+		t.Fatalf("want an error naming -pull-wait, got:\n%s", out)
+	}
+	if _, err := os.Stat(data); !os.IsNotExist(err) {
+		t.Fatalf("serve created its data root before refusing the flag (stat: %v)", err)
 	}
 }
 

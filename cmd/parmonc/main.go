@@ -533,8 +533,8 @@ func cmdWorker(args []string) error {
 	dialTimeout := fs.Duration("dial-timeout", defaults.DialTimeout, "per-dial timeout")
 	httpAddr := fs.String("http", "", "serve /metrics, /healthz, /statusz and /debug/pprof on this address")
 	journalPath := fs.String("journal", "", "append worker run events to this JSONL file")
-	pullWait := fs.Duration("pull-wait", 10*time.Second, "with -service: ask the coordinator to hold idle pulls open this long (long-poll; negative polls instead)")
-	pushInterval := fs.Duration("push-interval", 50*time.Millisecond, "with -service: coalesce completed push windows into one batch per interval (negative pushes each window separately)")
+	pullWait := fs.Duration("pull-wait", 10*time.Second, "with -service: ask the coordinator to hold idle pulls open this long (long-poll)")
+	pushInterval := fs.Duration("push-interval", 50*time.Millisecond, "with -service: coalesce completed push windows into one batch per interval")
 	maxBatch := fs.Int("max-batch", 64, "with -service: most push windows one batch may carry")
 	fs.Parse(args)
 
@@ -558,6 +558,12 @@ func cmdWorker(args []string) error {
 		})
 		if unwired != nil {
 			return unwired
+		}
+		if *pullWait < 0 {
+			return fmt.Errorf("worker -service: -pull-wait %v must not be negative", *pullWait)
+		}
+		if *pushInterval < 0 {
+			return fmt.Errorf("worker -service: -push-interval %v must not be negative", *pushInterval)
 		}
 		// Fleet workers take their workloads from the tasks they pull,
 		// so the -workload/-set/-scenario flags do not apply here.

@@ -39,25 +39,23 @@ type AttachReply struct {
 	// worker. The worker echoes it on every subsequent call; after a
 	// coordinator restart the echo no longer matches and the call is
 	// fenced (pushes) or redirected to re-attach (pulls) — the guarantee
-	// that a grant from a dead incarnation can never double-merge.
+	// that a grant from a dead incarnation can never double-merge. Epochs
+	// start at 1, so a call carrying zero is always fenced.
 	Epoch uint64
 }
 
 // PullArgs/PullReply: a worker asks the fair-share scheduler for work.
 // Granted=false means "nothing for you right now"; Stop means the
 // service is shutting down; Reattach means the worker's incarnation
-// died and it should attach again (keeping its caches). Epoch zero on
-// any args means unfenced — the in-process protocol tests predate
-// epochs and a direct caller opts out of fencing.
+// died, or it is unknown to this one, and it should attach again
+// (keeping its caches).
 //
 // Wait is the long-poll ask: how long the worker is willing to have
 // the coordinator hold an ungranted pull open waiting for work. The
 // effective hold is the smaller of Wait and the coordinator's
-// Config.PullWait; zero asks for the legacy immediate answer. Waited
-// in the reply tells the worker whether the coordinator honored a
-// hold — when it did, pulling again immediately is the intended
-// cadence; when it did not (long-poll disabled server-side), the
-// worker falls back to jittered polling.
+// Config.PullWait; zero asks for an immediate answer. Fleet workers
+// always ask for a hold, so pulling again right after an ungranted
+// reply is their intended ~1 RPC per wait window cadence.
 type PullArgs struct {
 	Worker int
 	Epoch  uint64
@@ -68,7 +66,6 @@ type PullReply struct {
 	Granted  bool
 	Stop     bool
 	Reattach bool
-	Waited   bool
 	Task     Task
 }
 
@@ -89,27 +86,10 @@ type Task struct {
 	Lease       collect.Lease
 }
 
-// TaskPushArgs/TaskPushReply: one subtotal push. Done is cumulative
-// within the granted lease window. Fenced tells the worker its grant
-// was revoked (abandon the task, pull again); Final tells it the run
-// finished (same reaction).
-type TaskPushArgs struct {
-	Worker  int
-	Epoch   uint64
-	RunID   string
-	LeaseID uint64
-	Done    int64
-	Snap    stat.Snapshot
-}
-
-type TaskPushReply struct {
-	Fenced bool
-	Final  bool
-}
-
-// PushEntry is one completed push window inside a PushBatch: the same
-// payload as a TaskPushArgs, minus the per-call worker identity that
-// the batch envelope carries once.
+// PushEntry is one completed push window inside a PushBatch: the
+// subtotal of one lease window, with Done cumulative within the
+// granted lease. The worker identity and epoch ride once in the batch
+// envelope.
 type PushEntry struct {
 	RunID   string
 	LeaseID uint64
@@ -117,14 +97,15 @@ type PushEntry struct {
 	Snap    stat.Snapshot
 }
 
-// PushBatchArgs/PushBatchReply: the coalesced push path. A worker
-// batches the windows it completed — possibly across several runs and
-// leases — into one RPC; the coordinator applies them in order, so for
-// any single lease the done ledger sees the same strictly-increasing
-// window sequence it would from unbatched pushes, and dedups each
-// entry on the same absolute substream position. Entries answers
-// verdicts positionally; Err carries an application-level rejection of
-// that entry alone (the rest of the batch still lands).
+// PushBatchArgs/PushBatchReply: the push path. A worker batches the
+// windows it completed — possibly across several runs and leases —
+// into one RPC; the coordinator applies them in order, so for any
+// single lease the done ledger sees a strictly-increasing window
+// sequence, and dedups each entry on its absolute substream position.
+// Entries answers verdicts positionally: Fenced tells the worker its
+// grant was revoked (abandon the task, pull again), Final that the run
+// finished (same reaction), and Err carries an application-level
+// rejection of that entry alone (the rest of the batch still lands).
 //
 // RetryAfter is soft backpressure: when positive, some pushed run's
 // collector saves are falling behind its averaging period, and the
@@ -191,7 +172,6 @@ type DetachReply struct{}
 type fleetAPI interface {
 	Attach(ctx context.Context, a AttachArgs) (AttachReply, error)
 	Pull(ctx context.Context, a PullArgs) (PullReply, error)
-	Push(ctx context.Context, a TaskPushArgs) (TaskPushReply, error)
 	PushBatch(ctx context.Context, a PushBatchArgs) (PushBatchReply, error)
 	Nack(ctx context.Context, a NackArgs) error
 	Fail(ctx context.Context, a FailArgs) error
@@ -208,9 +188,6 @@ func (lf localFleet) Pull(ctx context.Context, a PullArgs) (PullReply, error) {
 	// The worker's context reaches the long-poll, so a canceled local
 	// worker unparks immediately instead of riding out the hold.
 	return lf.m.pullTask(ctx, a)
-}
-func (lf localFleet) Push(_ context.Context, a TaskPushArgs) (TaskPushReply, error) {
-	return lf.m.pushTask(a)
 }
 func (lf localFleet) PushBatch(_ context.Context, a PushBatchArgs) (PushBatchReply, error) {
 	return lf.m.pushBatch(a)
@@ -234,12 +211,6 @@ func (s *fleetService) Pull(a PullArgs, r *PullReply) error {
 	// No per-call context over net/rpc; a parked pull is unblocked by
 	// its deadline or by the manager waking/stopping it.
 	rep, err := s.m.pullTask(context.Background(), a)
-	*r = rep
-	return err
-}
-
-func (s *fleetService) Push(a TaskPushArgs, r *TaskPushReply) error {
-	rep, err := s.m.pushTask(a)
 	*r = rep
 	return err
 }
@@ -305,7 +276,7 @@ func (m *Manager) ServeFleet(ln net.Listener) error {
 // ResilientClient, so transport faults are retried with backoff and
 // reconnect while application rejections (rpc.ServerError) stay
 // definitive. The protocol is retry-safe by construction: Attach is
-// idempotent per ClientID, Push and PushBatch dedup on the absolute
+// idempotent per ClientID, PushBatch dedups on the absolute
 // substream sequence, and Nack/Fail/Detach are no-ops once applied.
 type rpcFleet struct{ rc *cluster.ResilientClient }
 
@@ -322,12 +293,6 @@ func (rf rpcFleet) Pull(ctx context.Context, a PullArgs) (PullReply, error) {
 	// the resilient client does not tear down a healthy parked call.
 	timeout := rf.rc.Policy().CallTimeout + a.Wait
 	err := rf.rc.CallWithDeadline(ctx, FleetServiceName+".Pull", a, &r, timeout)
-	return r, err
-}
-
-func (rf rpcFleet) Push(ctx context.Context, a TaskPushArgs) (TaskPushReply, error) {
-	var r TaskPushReply
-	err := rf.rc.Call(ctx, FleetServiceName+".Push", a, &r)
 	return r, err
 }
 
@@ -359,21 +324,15 @@ type FleetWorkerConfig struct {
 	// ClientID makes attach idempotent across retries; default a
 	// process-unique string.
 	ClientID string
-	// Poll is the base idle period of the polling fallback, used when
-	// long-poll is disabled (and as the first step of its jittered
-	// exponential backoff). Default 50 ms.
-	Poll time.Duration
 	// PullWait asks the coordinator to hold an ungranted pull open this
 	// long waiting for work (long-poll); the coordinator may cap it.
-	// Zero selects 10 s; negative disables long-poll and the worker
-	// polls at Poll cadence with jittered backoff.
+	// Zero selects 10 s; negative is rejected.
 	PullWait time.Duration
 	// FlushInterval is the target push cadence: completed push windows
 	// are coalesced into one PushBatch until this much time has passed
 	// since the last flush (the batch also flushes at MaxBatch, and
-	// always before the next pull). Zero selects 50 ms; negative
-	// disables coalescing — every window is pushed in its own RPC, the
-	// legacy protocol.
+	// always before the next pull). Zero selects 50 ms; negative is
+	// rejected.
 	FlushInterval time.Duration
 	// MaxBatch caps the windows one PushBatch may carry. Default 64.
 	MaxBatch int
@@ -383,15 +342,18 @@ type FleetWorkerConfig struct {
 
 var fleetClientSeq atomic.Int64
 
-func (cfg FleetWorkerConfig) withDefaults() FleetWorkerConfig {
+func (cfg FleetWorkerConfig) withDefaults() (FleetWorkerConfig, error) {
+	if cfg.PullWait < 0 {
+		return cfg, fmt.Errorf("runmgr: fleet worker: negative PullWait %v", cfg.PullWait)
+	}
+	if cfg.FlushInterval < 0 {
+		return cfg, fmt.Errorf("runmgr: fleet worker: negative FlushInterval %v", cfg.FlushInterval)
+	}
 	if cfg.Hostname == "" {
 		cfg.Hostname, _ = os.Hostname()
 	}
 	if cfg.ClientID == "" {
 		cfg.ClientID = fmt.Sprintf("%s-%d-%d", cfg.Hostname, os.Getpid(), fleetClientSeq.Add(1))
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 50 * time.Millisecond
 	}
 	if cfg.PullWait == 0 {
 		cfg.PullWait = 10 * time.Second
@@ -402,15 +364,15 @@ func (cfg FleetWorkerConfig) withDefaults() FleetWorkerConfig {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	return cfg
+	return cfg, nil
 }
 
 // FleetWorkerReport summarizes one worker's service.
 type FleetWorkerReport struct {
 	Worker       int
 	Realizations int64
-	Pushes       int64 // push windows delivered (batched or not)
-	Batches      int64 // PushBatch RPCs sent (coalesced mode only)
+	Pushes       int64 // push windows delivered
+	Batches      int64 // PushBatch RPCs that carried them
 	Nacks        int64
 	Retries      int64 // transport retries (TCP workers only)
 	Reconnects   int64 // redials after connection loss (TCP workers only)
@@ -421,70 +383,19 @@ type FleetWorkerReport struct {
 // recovery) must not hold the worker in an infinite attach cycle.
 const maxReattachStreak = 5
 
-// pollBackoff is the reusable idle timer: one time.Timer for the
-// worker's lifetime (instead of a fresh time.After channel every
-// round) plus jittered exponential growth, so a fleet of idle workers
-// neither allocates per poll nor thunders in lockstep.
-type pollBackoff struct {
-	base, max time.Duration
-	streak    int
-	timer     *time.Timer
-	rnd       *rand.Rand
-}
+// reattachBase is the first step of the jittered exponential backoff
+// between consecutive re-attaches.
+const reattachBase = 50 * time.Millisecond
 
-func newPollBackoff(base time.Duration, seed int64) *pollBackoff {
-	if seed == 0 {
-		seed = int64(os.Getpid()) + fleetClientSeq.Load() + 1
-	}
-	max := 16 * base
-	if max > time.Second {
-		max = time.Second
-	}
-	if max < base {
-		max = base
-	}
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &pollBackoff{base: base, max: max, timer: t, rnd: rand.New(rand.NewSource(seed))}
-}
-
-// next returns the jittered delay for the current idle streak and
-// advances the streak: base, 2·base, 4·base, ... capped, ±10%.
-func (p *pollBackoff) next() time.Duration {
-	d := float64(p.base)
-	for i := 0; i < p.streak && d < float64(p.max); i++ {
-		d *= 2
-	}
-	if d > float64(p.max) {
-		d = float64(p.max)
-	}
-	if p.streak < 30 {
-		p.streak++
-	}
-	d *= 0.9 + 0.2*p.rnd.Float64()
+// reattachDelay is the wait before the n-th consecutive re-attach
+// (n ≥ 1): reattachBase·2^(n-1), capped at 16·reattachBase, ±10%
+// jitter so a fleet redirected by one restart does not re-attach in
+// lockstep.
+func reattachDelay(n int, rnd *rand.Rand) time.Duration {
+	d := float64(reattachBase << min(n-1, 4))
+	d *= 0.9 + 0.2*rnd.Float64()
 	return time.Duration(d)
 }
-
-func (p *pollBackoff) reset() { p.streak = 0 }
-
-// sleep waits out the next backoff step on the reused timer; false
-// means the context was canceled first.
-func (p *pollBackoff) sleep(ctx context.Context) bool {
-	p.timer.Reset(p.next())
-	select {
-	case <-ctx.Done():
-		if !p.timer.Stop() {
-			<-p.timer.C
-		}
-		return false
-	case <-p.timer.C:
-		return true
-	}
-}
-
-func (p *pollBackoff) stop() { p.timer.Stop() }
 
 // leaseKey identifies one grant across runs (lease IDs are only unique
 // within a run).
@@ -545,9 +456,9 @@ func (b *pushBatcher) done(runID string, leaseID uint64) bool {
 
 // flush sends the buffered windows as one PushBatch and applies the
 // per-entry verdicts. A transport failure (or a rejected batch call)
-// fails each affected lease the way an unbatched push failure would:
-// report via Fail and abandon — an unreachable coordinator ignores the
-// report and the leases time out and reissue.
+// means this worker cannot advance the affected leases: it reports
+// each via Fail and abandons it — an unreachable coordinator ignores
+// the report and the leases time out and reissue.
 func (b *pushBatcher) flush(ctx context.Context, worker int, epoch uint64) error {
 	if len(b.entries) == 0 {
 		return nil
@@ -599,8 +510,11 @@ func (b *pushBatcher) flush(ctx context.Context, worker int, epoch uint64) error
 // both transports: attach once, then pull → execute → push until the
 // service says Stop or the context is canceled.
 func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (FleetWorkerReport, error) {
-	cfg = cfg.withDefaults()
 	var rep FleetWorkerReport
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return rep, err
+	}
 	at, err := api.Attach(ctx, AttachArgs{Hostname: cfg.Hostname, ClientID: cfg.ClientID})
 	if err != nil {
 		return rep, fmt.Errorf("runmgr: fleet attach: %w", err)
@@ -615,19 +529,9 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 		_ = api.Detach(dctx, DetachArgs{Worker: at.Worker, Epoch: at.Epoch})
 	}()
 	realizers := map[string]core.Realization{}
-	var batcher *pushBatcher
-	if cfg.FlushInterval >= 0 {
-		batcher = newPushBatcher(api, cfg, &rep)
-	}
-	idle := newPollBackoff(cfg.Poll, cfg.Retry.Seed)
-	defer idle.stop()
-	reattach := newPollBackoff(cfg.Poll, cfg.Retry.Seed+1)
-	defer reattach.stop()
+	batcher := newPushBatcher(api, cfg, &rep)
+	rnd := rand.New(rand.NewSource(cfg.Retry.Seed + 1))
 	reattaches := 0
-	wait := cfg.PullWait
-	if wait < 0 {
-		wait = 0
-	}
 	for {
 		if ctx.Err() != nil {
 			return rep, nil
@@ -635,13 +539,11 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 		// Flush coalesced windows before asking for more work: the pull
 		// may park in the coordinator's long-poll, and a buffered window
 		// may be the one its run's completion is waiting on.
-		if batcher != nil {
-			_ = batcher.flush(ctx, at.Worker, at.Epoch)
-			if ctx.Err() != nil {
-				return rep, nil
-			}
+		_ = batcher.flush(ctx, at.Worker, at.Epoch)
+		if ctx.Err() != nil {
+			return rep, nil
 		}
-		pr, err := api.Pull(ctx, PullArgs{Worker: at.Worker, Epoch: at.Epoch, Wait: wait})
+		pr, err := api.Pull(ctx, PullArgs{Worker: at.Worker, Epoch: at.Epoch, Wait: cfg.PullWait})
 		if err != nil {
 			if ctx.Err() != nil {
 				return rep, nil
@@ -662,8 +564,12 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 			if reattaches > maxReattachStreak {
 				return rep, fmt.Errorf("runmgr: fleet worker %d: %d consecutive re-attach redirects, coordinator not converging", at.Worker, reattaches)
 			}
-			if !reattach.sleep(ctx) {
+			t := time.NewTimer(reattachDelay(reattaches, rnd))
+			select {
+			case <-ctx.Done():
+				t.Stop()
 				return rep, nil
+			case <-t.C:
 			}
 			at, err = api.Attach(ctx, AttachArgs{Hostname: cfg.Hostname, ClientID: cfg.ClientID})
 			if err != nil {
@@ -676,34 +582,23 @@ func runFleetLoop(ctx context.Context, api fleetAPI, cfg FleetWorkerConfig) (Fle
 			continue
 		}
 		reattaches = 0
-		reattach.reset()
-		if !pr.Granted {
-			if pr.Waited {
-				// The coordinator already held this pull for the long-poll
-				// window; pulling right back is the intended ~1 RPC per
-				// wait window cadence.
-				idle.reset()
-				continue
-			}
-			if !idle.sleep(ctx) {
-				return rep, nil
-			}
-			continue
+		if pr.Granted {
+			// An ungranted reply was already held for the long-poll
+			// window, so pulling right back is the intended cadence.
+			executeTask(ctx, api, at.Worker, at.Epoch, pr.Task, realizers, batcher, &rep)
 		}
-		idle.reset()
-		executeTask(ctx, api, at.Worker, at.Epoch, pr.Task, realizers, batcher, &rep)
 	}
 }
 
 // executeTask simulates one granted lease window, recording subtotals
-// at PassEvery boundaries and at the window end — into the batcher
-// when coalescing, as one Push RPC each otherwise. It never flushes a
-// partial window: an abandoned task (cancellation, fencing, run
-// completion) leaves the done ledger at the last acked boundary and the
-// remainder is recomputed from there — that discipline is what makes
-// each processor shard's push-window sequence a pure function of the
-// lease partition and PassEvery, and so the report bit-identical no
-// matter how execution interleaves or how windows are batched.
+// at PassEvery boundaries and at the window end into the batcher. It
+// never records a partial window: an abandoned task (cancellation,
+// fencing, run completion) leaves the done ledger at the last acked
+// boundary and the remainder is recomputed from there — that
+// discipline is what makes each processor shard's push-window sequence
+// a pure function of the lease partition and PassEvery, and so the
+// report bit-identical no matter how execution interleaves or how
+// windows are batched.
 func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, task Task, realizers map[string]core.Realization, batcher *pushBatcher, rep *FleetWorkerReport) {
 	realize, ok := realizers[task.RunID]
 	if !ok {
@@ -727,16 +622,11 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 	local := stat.New(task.Nrow, task.Ncol)
 	out := make([]float64, task.Nrow*task.Ncol)
 	var done int64
-	// Each window's wall time is credited once, when it is pushed or
-	// batched: MeanSimTime is window time ÷ count.
-	windowStart := time.Now()
-	windowSnap := func() stat.Snapshot {
-		snap := local.Snapshot()
-		snap.SimTimeNS = int64(time.Since(windowStart))
-		return snap
-	}
 	canceled := ctx.Done()
 	for k := int64(0); k < l.Count; {
+		// Each window's wall time is credited once, when it is batched:
+		// MeanSimTime is window time ÷ count.
+		windowStart := time.Now()
 		end := min(l.Count, k+max(task.PassEvery, 1))
 		next, err := core.Simulate(canceled, nil, stream, realize, out, local, k, end)
 		rep.Realizations += next - k
@@ -749,45 +639,18 @@ func executeTask(ctx context.Context, api fleetAPI, worker int, epoch uint64, ta
 		}
 		k = end
 		done += local.N()
-		if batcher != nil {
-			// Coalesced path: buffer the window (Snapshot is a deep
-			// copy) and keep simulating; the batcher decides when the
-			// wire sees it. A flush verdict that ended this lease —
-			// fenced, run finished, entry rejected — abandons the task
-			// exactly as an unbatched reply would.
-			if err := batcher.add(ctx, worker, epoch, PushEntry{
-				RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
-			}); err != nil {
-				return
-			}
-			if batcher.done(task.RunID, l.ID) {
-				return
-			}
-			local.Reset()
-			windowStart = time.Now()
-			continue
-		}
-		pres, err := api.Push(ctx, TaskPushArgs{
-			Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: windowSnap(),
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			// Either the coordinator definitively rejected the
-			// snapshot or the transport gave up; in both cases this
-			// worker cannot advance the run. Report and abandon —
-			// an unreachable coordinator ignores the report and the
-			// lease times out.
-			_ = api.Fail(ctx, FailArgs{Worker: worker, Epoch: epoch, RunID: task.RunID, LeaseID: l.ID, Reason: err.Error()})
-			return
-		}
-		rep.Pushes++
-		if pres.Fenced || pres.Final {
+		// Buffer the window (Snapshot is a deep copy) and keep
+		// simulating; the batcher decides when the wire sees it. A flush
+		// verdict that ended this lease — fenced, run finished, entry
+		// rejected — abandons the task.
+		snap := local.Snapshot()
+		snap.SimTimeNS = int64(time.Since(windowStart))
+		if err := batcher.add(ctx, worker, epoch, PushEntry{
+			RunID: task.RunID, LeaseID: l.ID, Done: done, Snap: snap,
+		}); err != nil || batcher.done(task.RunID, l.ID) {
 			return
 		}
 		local.Reset()
-		windowStart = time.Now()
 	}
 }
 
@@ -849,9 +712,6 @@ func (g *FleetGroup) Wait() ([]FleetWorkerReport, error) {
 // the manager closes.
 func (m *Manager) StartLocalWorkers(ctx context.Context, n int, cfg FleetWorkerConfig) *FleetGroup {
 	g := &FleetGroup{}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 5 * time.Millisecond // in-process polling is cheap
-	}
 	for i := 0; i < n; i++ {
 		g.wg.Add(1)
 		go func() {
@@ -873,7 +733,6 @@ func (m *Manager) StartLocalWorkers(ctx context.Context, n int, cfg FleetWorkerC
 // RunFleetWorker serves the manager at addr over TCP until ctx is
 // canceled or the service stops — the `parmonc worker -service` loop.
 func RunFleetWorker(ctx context.Context, addr string, cfg FleetWorkerConfig) (FleetWorkerReport, error) {
-	cfg = cfg.withDefaults()
 	rc := cluster.NewResilientClient(addr, cfg.Retry)
 	defer rc.Close()
 	rep, err := runFleetLoop(ctx, rpcFleet{rc}, cfg)

@@ -55,6 +55,11 @@ type RecoveryInfo struct {
 	Resumed  int `json:"resumed"`  // of those, runs with a recovery image to restore
 	Replayed int `json:"replayed"` // runs whose manifest lagged the WAL (reconciled)
 
+	// Anomalies the WAL replay tolerated (see replayWAL).
+	WALDuplicates int `json:"wal_duplicates"`   // the same transition recorded twice
+	WALConflicts  int `json:"wal_conflicts"`    // two different terminal states: first wins
+	WALOutOfOrder int `json:"wal_out_of_order"` // backwards transitions: ignored
+
 	CorruptManifests int   `json:"corrupt_manifests"` // manifests quarantined (discard policy)
 	SamplesRestored  int64 `json:"samples_restored"`  // sample volume carried across the restart
 }
@@ -385,7 +390,8 @@ func (m *Manager) recover() error {
 	info.WALRecords = len(replay.Records)
 	info.WALTornTail = replay.Torn
 	info.CleanShutdown = replay.CleanShutdown()
-	walStates, _ := replayWAL(replay.Records)
+	walStates, stats := replayWAL(replay.Records)
+	info.WALDuplicates, info.WALConflicts, info.WALOutOfOrder = stats.Duplicates, stats.Conflicts, stats.OutOfOrder
 
 	// Pass 3: rebuild the registry in submission order.
 	sort.Slice(manifests, func(i, j int) bool { return manifests[i].Seq < manifests[j].Seq })
@@ -471,12 +477,15 @@ func (m *Manager) recover() error {
 		m.persistRunLocked(r, "")
 	}
 	m.admitLocked()
-	_ = m.wal.Append(walRecover, "", m.now(), info)
+	if err := m.wal.Append(walRecover, "", m.now(), info); err != nil {
+		m.jevent("persist_error", map[string]any{"kind": walRecover, "err": err.Error()})
+	}
 	if len(manifests) > 0 || info.WALRecords > 0 {
 		m.jevent("service_recover", map[string]any{
 			"epoch": m.epoch, "terminal": info.Terminal, "requeued": info.Requeued,
 			"resumed": info.Resumed, "replayed": info.Replayed, "clean_shutdown": info.CleanShutdown,
-			"samples_restored": info.SamplesRestored,
+			"samples_restored": info.SamplesRestored, "wal_duplicates": info.WALDuplicates,
+			"wal_conflicts": info.WALConflicts, "wal_out_of_order": info.WALOutOfOrder,
 		})
 	}
 	return nil

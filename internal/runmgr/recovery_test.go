@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"parmonc/internal/rng"
 	"parmonc/internal/store"
 	"parmonc/internal/workload"
 )
@@ -174,6 +176,27 @@ func waitRecoveryImage(t *testing.T, root, id string, timeout time.Duration) {
 	}
 }
 
+// startGatedWorkers starts two local fleet workers whose test_probe
+// realizations at or past index gate of any lease wait until release
+// is called (or the test ends). Every window flushes as it completes,
+// so the run holds exactly 2·gate merged samples once both workers
+// wait — pinned mid-way however fast the host is, where a run racing
+// the test to its own completion would leave nothing to recover.
+func startGatedWorkers(t *testing.T, ctx context.Context, m *Manager, gate uint64) (release func()) {
+	t.Helper()
+	open := make(chan struct{})
+	setProbe(t, func(c rng.Coord) {
+		if c.Realization >= gate {
+			<-open
+		}
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(open) }) }
+	t.Cleanup(release)
+	m.StartLocalWorkers(ctx, 2, FleetWorkerConfig{FlushInterval: time.Nanosecond})
+	return release
+}
+
 // TestGracefulShutdownResumeNoReplay is the drained-shutdown
 // regression: SIGTERM-style Shutdown leaves a clean WAL, so the next
 // incarnation replays nothing, requeues the suspended run in place,
@@ -181,7 +204,7 @@ func waitRecoveryImage(t *testing.T, root, id string, timeout time.Duration) {
 // was never interrupted.
 func TestGracefulShutdownResumeNoReplay(t *testing.T) {
 	sub := Submission{
-		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 400_000,
+		Scenario: workload.Spec{Workload: "test_probe"}, MaxSamples: 400_000,
 		SeqNum: 51, PassEvery: 100, LeaseSize: 20_000,
 	}
 	want := runIsolated(t, sub)
@@ -191,7 +214,7 @@ func TestGracefulShutdownResumeNoReplay(t *testing.T) {
 	m1 := newManager(t, cfg)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	m1.StartLocalWorkers(ctx1, 2, FleetWorkerConfig{})
+	release := startGatedWorkers(t, ctx1, m1, 5_000)
 	st, err := m1.Submit(sub)
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +224,7 @@ func TestGracefulShutdownResumeNoReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel1()
+	release()
 
 	m2 := newManager(t, cfg)
 	info := m2.Recovery()
@@ -239,7 +263,7 @@ func TestGracefulShutdownResumeNoReplay(t *testing.T) {
 // lease remainders from the merged-prefix ledger.
 func TestKillRecoveryBitIdentical(t *testing.T) {
 	sub := Submission{
-		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 400_000,
+		Scenario: workload.Spec{Workload: "test_probe"}, MaxSamples: 400_000,
 		SeqNum: 52, PassEvery: 100, LeaseSize: 20_000,
 	}
 	want := runIsolated(t, sub)
@@ -249,15 +273,24 @@ func TestKillRecoveryBitIdentical(t *testing.T) {
 	m1 := newManager(t, cfg)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	m1.StartLocalWorkers(ctx1, 2, FleetWorkerConfig{})
+	release := startGatedWorkers(t, ctx1, m1, 5_000)
 	st, err := m1.Submit(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitSamples(t, m1, st.ID, 10_000, 60*time.Second)
+	// The pinned run may have pushed too fast for a periodic save;
+	// force one, as the next elapsed AverPeriod would.
+	m1.mu.Lock()
+	eng := m1.runs[st.ID].eng
+	m1.mu.Unlock()
+	if err := eng.Save(); err != nil {
+		t.Fatal(err)
+	}
 	waitRecoveryImage(t, root, st.ID, 30*time.Second)
 	m1.kill()
 	cancel1()
+	release()
 
 	m2 := newManager(t, cfg)
 	info := m2.Recovery()
@@ -284,7 +317,9 @@ func TestKillRecoveryBitIdentical(t *testing.T) {
 // TestTerminalRunsListedAfterRestart: done runs come back read-only
 // from their manifests — same state, and a report that is bitwise the
 // one the run finished with. Their experiment subsequences stay
-// reserved across the restart.
+// reserved across the restart. A WAL that recorded the done transition
+// twice and then a racing cancel keeps the first terminal state, and
+// recovery reports the duplicate and the conflict.
 func TestTerminalRunsListedAfterRestart(t *testing.T) {
 	sub := Submission{
 		Scenario: workload.Spec{Workload: "pi"}, MaxSamples: 5_000,
@@ -308,10 +343,27 @@ func TestTerminalRunsListedAfterRestart(t *testing.T) {
 	if err := m1.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
+	wal, _, err := store.OpenWAL(filepath.Join(root, store.WALFile), 0, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{walDone, walCanceled} {
+		if err := wal.Append(kind, st.ID, time.Now(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	m2 := newManager(t, cfg)
-	if info := m2.Recovery(); info.Terminal != 1 || info.Requeued != 0 {
+	info := m2.Recovery()
+	if info.Terminal != 1 || info.Requeued != 0 {
 		t.Fatalf("terminal/requeued = %d/%d, want 1/0", info.Terminal, info.Requeued)
+	}
+	if info.WALDuplicates != 1 || info.WALConflicts != 1 || info.WALOutOfOrder != 0 {
+		t.Fatalf("WAL duplicates/conflicts/out-of-order = %d/%d/%d, want 1/1/0",
+			info.WALDuplicates, info.WALConflicts, info.WALOutOfOrder)
 	}
 	rst, err := m2.Run(st.ID)
 	if err != nil {

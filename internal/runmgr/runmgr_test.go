@@ -230,7 +230,7 @@ func TestFairSharePull(t *testing.T) {
 	}
 	var got []string
 	for i := 0; i < 4; i++ {
-		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker})
+		pr, err := m.pullTask(context.Background(), PullArgs{Worker: at.Worker, Epoch: at.Epoch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,20 +258,20 @@ func TestProtocolNack(t *testing.T) {
 	w1, _ := m.attach(AttachArgs{Hostname: "w1"})
 	w2, _ := m.attach(AttachArgs{Hostname: "w2"})
 
-	pr, err := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker})
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker, Epoch: w1.Epoch})
 	if err != nil || !pr.Granted {
 		t.Fatalf("pull: granted=%v err=%v", pr.Granted, err)
 	}
 	first := pr.Task.Lease
-	if err := m.nackTask(NackArgs{Worker: w1.Worker, RunID: st.ID, LeaseID: first.ID, Reason: "not linked here"}); err != nil {
+	if err := m.nackTask(NackArgs{Worker: w1.Worker, Epoch: w1.Epoch, RunID: st.ID, LeaseID: first.ID, Reason: "not linked here"}); err != nil {
 		t.Fatal(err)
 	}
 	// The nacking worker never sees this run again.
-	if pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker}); pr.Granted {
+	if pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w1.Worker, Epoch: w1.Epoch}); pr.Granted {
 		t.Fatalf("nacking worker was granted %s again", pr.Task.RunID)
 	}
 	// Another worker gets the same window back under a fresh grant ID.
-	pr2, err := m.pullTask(context.Background(), PullArgs{Worker: w2.Worker})
+	pr2, err := m.pullTask(context.Background(), PullArgs{Worker: w2.Worker, Epoch: w2.Epoch})
 	if err != nil || !pr2.Granted {
 		t.Fatalf("pull from w2: granted=%v err=%v", pr2.Granted, err)
 	}
@@ -297,11 +297,11 @@ func TestProtocolFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := m.attach(AttachArgs{Hostname: "w"})
-	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w.Worker})
+	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: w.Worker, Epoch: w.Epoch})
 	if !pr.Granted {
 		t.Fatal("no grant")
 	}
-	if err := m.failTask(FailArgs{Worker: w.Worker, RunID: st.ID, LeaseID: pr.Task.Lease.ID, Reason: "boom"}); err != nil {
+	if err := m.failTask(FailArgs{Worker: w.Worker, Epoch: w.Epoch, RunID: st.ID, LeaseID: pr.Task.Lease.ID, Reason: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	rs, _ := m.Run(st.ID)
@@ -313,6 +313,83 @@ func TestProtocolFail(t *testing.T) {
 		t.Fatal(err)
 	} else if s, _ := m.Run(next.ID); s.State != StateAdmitted {
 		t.Fatalf("post-failure submit is %s, want admitted", s.State)
+	}
+}
+
+// TestFleetCallsFenceEpochZero: service epochs start at 1, so a fleet
+// call carrying epoch 0 comes from no incarnation this service ever
+// ran. Every kind of call is fenced or ignored, counted by the
+// stale-epoch metric, and leaves the run exactly as it was.
+func TestFleetCallsFenceEpochZero(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Registry = obs.NewRegistry()
+	m := newManager(t, cfg)
+	st, err := m.Submit(piSubmission(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := m.attach(AttachArgs{Hostname: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := m.pullTask(context.Background(), PullArgs{Worker: w.Worker, Epoch: w.Epoch})
+	if err != nil || !pr.Granted {
+		t.Fatalf("pull: granted=%v err=%v", pr.Granted, err)
+	}
+	task := pr.Task
+	snap := windowSnap(t, task.Nrow, task.Ncol, task.PassEvery)
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"pull", func() error {
+			pr, err := m.pullTask(context.Background(), PullArgs{Worker: w.Worker})
+			if err == nil && (!pr.Reattach || pr.Granted) {
+				err = fmt.Errorf("reply %+v, want Reattach", pr)
+			}
+			return err
+		}},
+		{"push batch", func() error {
+			rep, err := m.pushBatch(PushBatchArgs{Worker: w.Worker, Entries: []PushEntry{{
+				RunID: task.RunID, LeaseID: task.Lease.ID, Done: task.PassEvery, Snap: snap,
+			}}})
+			if err == nil && rep.Entries[0] != (PushEntryReply{Fenced: true}) {
+				err = fmt.Errorf("entry verdict %+v, want Fenced", rep.Entries[0])
+			}
+			return err
+		}},
+		{"nack", func() error {
+			return m.nackTask(NackArgs{Worker: w.Worker, RunID: task.RunID, LeaseID: task.Lease.ID, Reason: "zombie"})
+		}},
+		{"fail", func() error {
+			return m.failTask(FailArgs{Worker: w.Worker, RunID: task.RunID, LeaseID: task.Lease.ID, Reason: "zombie"})
+		}},
+		{"detach", func() error { return m.detach(DetachArgs{Worker: w.Worker}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := cfg.Registry.Snapshot()["parmonc_fleet_stale_epoch_total"]
+			if err := tc.call(); err != nil {
+				t.Fatal(err)
+			}
+			if d := cfg.Registry.Snapshot()["parmonc_fleet_stale_epoch_total"] - before; d != 1 {
+				t.Errorf("stale-epoch count rose by %v, want 1", d)
+			}
+			rs, err := m.Run(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := LeaseCounters{Total: rs.Leases.Total, Granted: 1, Outstanding: 1, Pending: rs.Leases.Total - 1}
+			if rs.State != StateRunning || rs.N != 0 || rs.Leases != want {
+				t.Errorf("run is %s with N %d, leases %+v; want running, N 0, leases %+v", rs.State, rs.N, rs.Leases, want)
+			}
+			m.mu.Lock()
+			attached := m.workers[w.Worker] != nil
+			m.mu.Unlock()
+			if !attached {
+				t.Error("worker detached")
+			}
+		})
 	}
 }
 
@@ -453,8 +530,8 @@ func TestFleetPanicFailsLeaseWorkerKeepsPulling(t *testing.T) {
 	if _, err := core.Simulate(nil, nil, stream, realize, make([]float64, 1), acc, 0, passEvery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.pushTask(TaskPushArgs{Worker: first.Worker, Epoch: first.Epoch, RunID: st.ID, LeaseID: l.ID, Done: passEvery, Snap: acc.Snapshot()}); err != nil {
-		t.Fatal(err)
+	if rep := m.pushOne(first.Epoch, PushEntry{RunID: st.ID, LeaseID: l.ID, Done: passEvery, Snap: acc.Snapshot()}); rep != (PushEntryReply{}) {
+		t.Fatalf("first window push: %+v", rep)
 	}
 	if err := m.detach(DetachArgs{Worker: first.Worker, Epoch: first.Epoch}); err != nil {
 		t.Fatal(err)
@@ -506,7 +583,7 @@ func TestLeaseTimeoutReissue(t *testing.T) {
 	}
 	// A zombie worker takes a lease and never comes back.
 	zw, _ := m.attach(AttachArgs{Hostname: "zombie"})
-	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: zw.Worker})
+	pr, _ := m.pullTask(context.Background(), PullArgs{Worker: zw.Worker, Epoch: zw.Epoch})
 	if !pr.Granted {
 		t.Fatal("zombie got no grant")
 	}
@@ -608,7 +685,7 @@ func TestLeaseCompletedWhenAnotherPushFinishesRun(t *testing.T) {
 	}
 	var leases []Task
 	for i := 0; i < 2; i++ {
-		pr, err := m.pullTask(context.Background(), PullArgs{Worker: w.Worker})
+		pr, err := m.pullTask(context.Background(), PullArgs{Worker: w.Worker, Epoch: w.Epoch})
 		if err != nil || !pr.Granted {
 			t.Fatalf("pull %d: granted=%v err=%v", i, pr.Granted, err)
 		}
@@ -633,9 +710,8 @@ func TestLeaseCompletedWhenAnotherPushFinishesRun(t *testing.T) {
 	}
 	// The second lease's final push reaches the target and finishes the run.
 	b := leases[1].Lease
-	rep, err := m.pushTask(TaskPushArgs{Worker: w.Worker, Epoch: w.Epoch, RunID: st.ID, LeaseID: b.ID, Done: b.Count, Snap: snap})
-	if err != nil || !rep.Final {
-		t.Fatalf("second final push: %+v, %v", rep, err)
+	if rep := m.pushOne(w.Epoch, PushEntry{RunID: st.ID, LeaseID: b.ID, Done: b.Count, Snap: snap}); rep != (PushEntryReply{Final: true}) {
+		t.Fatalf("second final push: %+v", rep)
 	}
 	rs, err := m.Run(st.ID)
 	if err != nil {
